@@ -1,9 +1,10 @@
-//! Scaling: the bitsliced DSP lane bank versus running the same hypotheses
-//! through separate correlator instances. Each lane is a distinct
-//! (template, threshold, lockout) tuple over one shared stream; because
-//! lanes that share a template also share the bit-plane popcount pass, a
+//! Scaling: the DSP lane bank versus running the same hypotheses through
+//! separate correlator instances. Each lane is a distinct (template,
+//! threshold, lockout) tuple over one shared stream; because lanes that
+//! share a template also share its template-table metric evaluation, a
 //! threshold sweep amortizes the expensive part and aggregate throughput
-//! (lane-samples per second) should grow nearly linearly with lane count.
+//! (lane-samples per second) grows with lane count until the per-lane
+//! comparator bookkeeping dominates.
 //!
 //! Elements are counted as `samples x lanes`, so the reported throughput is
 //! the *aggregate* rate; divide by the lane count for per-lane Msamp/s.
@@ -93,7 +94,7 @@ fn main() {
         });
     }
 
-    // Worst case: 16 distinct templates (no shared popcount pass), and the
+    // Worst case: 16 distinct templates (no shared metric pass), and the
     // trigger-collecting datapath used by the campaign detection sweeps.
     let mut bank = multi_template_bank(16);
     let elems = (stream.len() * 16) as u64;

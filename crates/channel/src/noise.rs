@@ -51,15 +51,23 @@ impl NoiseSource {
     /// (`clippy::should_implement_trait`).
     #[inline]
     pub fn next_sample(&mut self) -> Cf64 {
-        Cf64::new(
-            self.rng.gaussian() * self.sigma,
-            self.rng.gaussian() * self.sigma,
-        )
+        let (re, im) = self.rng.gaussian_pair();
+        Cf64::new(re * self.sigma, im * self.sigma)
+    }
+
+    /// Overwrites `out` with noise, exactly as `out.len()` calls of
+    /// [`NoiseSource::next_sample`] would.
+    pub fn fill(&mut self, out: &mut [Cf64]) {
+        for s in out {
+            *s = self.next_sample();
+        }
     }
 
     /// Generates a block of noise.
     pub fn block(&mut self, n: usize) -> Vec<Cf64> {
-        (0..n).map(|_| self.next_sample()).collect()
+        let mut out = vec![Cf64::ZERO; n];
+        self.fill(&mut out);
+        out
     }
 
     /// Adds noise to a waveform in place.

@@ -127,7 +127,7 @@ fn lane_bank_for(presets: &[DetectionPreset], lockout: u64) -> Option<DspLaneBan
 /// for N correlator presets in one streaming pass: identical unit
 /// boundaries, identical per-unit noise streams (`shard_seed(seed, index)`),
 /// identical quantization — but every threshold rides one lane of a shared
-/// [`DspLaneBank`], so the sign-bit popcount pass is paid once per distinct
+/// [`DspLaneBank`], so the template-table metric pass is paid once per distinct
 /// template instead of once per preset. Returns one `(triggers, samples)`
 /// pair per preset, each bit-identical to a dedicated `run_counts` run of
 /// that preset at the same seed. `None` when the presets don't fit a bank.
@@ -140,6 +140,7 @@ fn false_alarm_lane_counts(
 ) -> Option<Vec<(u64, u64)>> {
     struct FaLanePool {
         bank: DspLaneBank,
+        block: Vec<Cf64>,
         quant: Vec<IqI16>,
     }
     lane_bank_for(presets, DEFAULT_LOCKOUT)?;
@@ -150,6 +151,7 @@ fn false_alarm_lane_counts(
         seed,
         || FaLanePool {
             bank: lane_bank_for(presets, DEFAULT_LOCKOUT).expect("presets checked above"),
+            block: Vec::new(),
             quant: Vec::new(),
         },
         |pool, ctx| {
@@ -162,10 +164,11 @@ fn false_alarm_lane_counts(
             let mut done = 0usize;
             while done < n {
                 let m = FA_CHUNK.min(n - done);
+                pool.block.resize(m, Cf64::ZERO);
+                noise.fill(&mut pool.block);
                 pool.quant.clear();
-                for _ in 0..m {
-                    pool.quant.push(IqI16::from_cf64(noise.next_sample()));
-                }
+                pool.quant
+                    .extend(pool.block.iter().map(|&s| IqI16::from_cf64(s)));
                 pool.bank.process_block(&pool.quant);
                 done += m;
             }
@@ -687,10 +690,8 @@ impl FalseAlarmSpec {
                 let mut done = 0usize;
                 while done < n {
                     let m = FA_CHUNK.min(n - done);
-                    pool.block.clear();
-                    for _ in 0..m {
-                        pool.block.push(noise.next_sample());
-                    }
+                    pool.block.resize(m, Cf64::ZERO);
+                    noise.fill(&mut pool.block);
                     pool.jammer
                         .process_block_into(&pool.block, &mut pool.scratch);
                     done += m;
@@ -723,7 +724,7 @@ impl FalseAlarmSpec {
 
     /// Sweeps a grid of correlation-threshold fractions in **one** noise
     /// pass: every fraction becomes a [`DspLaneBank`] lane over the base
-    /// preset's template, so the sign-bit popcount pass is paid once per
+    /// preset's template, so the template-table metric pass is paid once per
     /// sample instead of once per grid point. Unit boundaries, per-unit
     /// noise streams and quantization are exactly those of
     /// [`FalseAlarmSpec::run_counts`], so the `k`-th `(triggers, samples)`
@@ -829,7 +830,7 @@ impl RocSpec<'_> {
     /// For correlator presets the sweep runs on a [`DspLaneBank`]: all
     /// thresholds become lanes of one bank, the shared noise and emission
     /// streams are synthesized and sign-sliced **once**, and every
-    /// threshold's comparator rides the same popcount pass. The produced
+    /// threshold's comparator rides the same template-table metric pass. The produced
     /// points are bit-identical to the per-threshold nested path (the unit
     /// seeds, streams, quantization and the final float divisions all
     /// match), which remains as the fallback for energy presets and

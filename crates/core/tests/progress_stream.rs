@@ -4,11 +4,12 @@
 //! the progress sink and the campaign guard are process-wide: unit tests
 //! of other campaigns running in parallel threads of the lib test binary
 //! would race for stream ownership. The scenarios below share one `#[test]`
-//! for the same reason.
+//! for the same reason: any campaign running beside a capture — even one
+//! with no sink of its own — streams into that capture.
 
 #![cfg(feature = "obs")]
 
-use rjam_core::engine::CampaignEngine;
+use rjam_core::engine::{shard_seed, CampaignEngine};
 use rjam_obs::stream::{self, ProgressEvent};
 use rjam_obs::telemetry;
 use std::sync::{Arc, Mutex};
@@ -178,13 +179,12 @@ fn engine_streams_one_valid_chain_and_publishes_a_profile() {
         |_, ctx| busy_unit(ctx.index),
     );
     assert!(telemetry::profile_for("progress_silent").is_some());
-}
 
-#[test]
-fn straggler_detection_flags_slow_units_with_seeds() {
-    // One unit sleeps ~20x the median: it must be flagged, with the seed
-    // the engine actually used for it.
-    use rjam_core::engine::shard_seed;
+    // --- Scenario 5: straggler detection. One unit sleeps ~20x the
+    // median: it must be flagged, with the seed the engine actually used
+    // for it. It runs here rather than in a test of its own because a
+    // concurrent campaign would land its chain in another scenario's
+    // capture.
     CampaignEngine::with_threads(2).run_units_kind(
         "straggler_e2e",
         16,

@@ -693,106 +693,12 @@ impl DspCore {
 
     /// Processes one received sample; returns the TX decision and pulses.
     pub fn process(&mut self, rx: IqI16) -> CoreOutput {
-        let sample = self.now;
-        self.now += 1;
-        let cycle = sample * CLOCKS_PER_SAMPLE + 1;
         if rjam_obs::enabled() {
             self.stats.samples_in += 1;
         }
-
-        let xo = self.xcorr.push(rx);
-        let eo = self.energy.push(rx);
-        let pulses = Pulses {
-            xcorr: xo.trigger,
-            energy_high: eo.trigger_high,
-            energy_low: eo.trigger_low,
-        };
-        if xo.trigger {
-            self.events.push(CoreEvent::XcorrDetection {
-                sample,
-                cycle,
-                metric: xo.metric,
-            });
-            self.bus
-                .set_bits(RegisterMap::HostFeedback, host_feedback::XCORR_DET);
-            if rjam_obs::enabled() {
-                self.stats.xcorr_fires += 1;
-                self.stats
-                    .recorder
-                    .record(cycle, "xcorr_fire", xo.metric as i64, 0);
-            }
-        }
-        if eo.trigger_high {
-            self.events.push(CoreEvent::EnergyHigh { sample, cycle });
-            self.bus
-                .set_bits(RegisterMap::HostFeedback, host_feedback::ENERGY_HIGH);
-            if rjam_obs::enabled() {
-                self.stats.energy_high_fires += 1;
-                self.stats.recorder.record(cycle, "energy_high", 0, 0);
-            }
-        }
-        if eo.trigger_low {
-            self.events.push(CoreEvent::EnergyLow { sample, cycle });
-            self.bus
-                .set_bits(RegisterMap::HostFeedback, host_feedback::ENERGY_LOW);
-            if rjam_obs::enabled() {
-                self.stats.energy_low_fires += 1;
-                self.stats.recorder.record(cycle, "energy_low", 0, 0);
-            }
-        }
-
-        let masked = Pulses {
-            xcorr: pulses.xcorr && self.src_xcorr,
-            energy_high: pulses.energy_high && self.src_energy_high,
-            energy_low: pulses.energy_low && self.src_energy_low,
-        };
-        let jam_trigger = self.builder.push(masked);
-        if jam_trigger {
-            self.events.push(CoreEvent::JamTrigger { sample, cycle });
-            if rjam_obs::enabled() {
-                self.stats.jam_triggers += 1;
-                self.stats.recorder.record(cycle, "jam_trigger", 0, 0);
-            }
-        }
-        if let Some(cap) = self.capture.as_mut() {
-            cap.tick(rx, jam_trigger);
-        }
-        if rjam_obs::enabled() {
-            if let Some(cap) = self.capture.as_ref() {
-                let hw = cap.fifo().high_water() as u64;
-                if hw > self.stats.fifo_high_water {
-                    self.stats.fifo_high_water = hw;
-                }
-                let overflow = cap.fifo().overflow();
-                if overflow > self.stats.capture_overflow {
-                    self.stats.capture_overflow = overflow;
-                    self.stats
-                        .recorder
-                        .record(cycle, "capture_overflow", overflow as i64, 0);
-                    self.stats.recorder.trip(cycle, "capture_fifo_overflow");
-                    rjam_obs::recorder::trip_global(cycle, "capture_fifo_overflow");
-                }
-            }
-        }
-
-        let tx = self.jammer.tick(jam_trigger, rx);
-        if rjam_obs::enabled() {
-            self.account_burst_starts();
-        }
-        if tx.is_some() {
-            self.bus.set_bits(
-                RegisterMap::HostFeedback,
-                host_feedback::JAMMED | host_feedback::JAM_ACTIVE,
-            );
-        } else {
-            self.bus
-                .clear_bits(RegisterMap::HostFeedback, host_feedback::JAM_ACTIVE);
-        }
-        CoreOutput {
-            tx,
-            pulses,
-            jam_trigger,
-        }
+        let out = self.step(rx);
+        self.latch_jam_flags(out.tx.is_some(), out.tx.is_some());
+        out
     }
 
     /// Processes a block, returning a TX waveform time-aligned with the
@@ -812,6 +718,11 @@ impl DspCore {
     /// performs no per-block heap allocation once the buffers reach steady
     /// capacity. On return `tx.len() == active.len() == rx.len()`, with `tx`
     /// time-aligned with the input (silence as zero samples).
+    ///
+    /// Runs the same per-sample step as [`DspCore::process`]; only the
+    /// bookkeeping nothing can observe mid-block (the sample counter and
+    /// the jam flags of the host-feedback register) is settled once per
+    /// block.
     pub fn process_block_into(
         &mut self,
         rx: &[IqI16],
@@ -819,13 +730,159 @@ impl DspCore {
         active: &mut Vec<bool>,
     ) {
         tx.clear();
+        tx.resize(rx.len(), IqI16::ZERO);
         active.clear();
-        tx.reserve(rx.len());
-        active.reserve(rx.len());
-        for &s in rx {
-            let out = self.process(s);
-            active.push(out.tx.is_some());
-            tx.push(out.tx.unwrap_or(IqI16::ZERO));
+        active.resize(rx.len(), false);
+        if rjam_obs::enabled() {
+            self.stats.samples_in += rx.len() as u64;
+        }
+        let mut jammed = false;
+        for ((&s, tx), active) in rx.iter().zip(tx.iter_mut()).zip(active.iter_mut()) {
+            if let Some(out) = self.step(s).tx {
+                *tx = out;
+                *active = true;
+                jammed = true;
+            }
+        }
+        if let Some(&jam_active) = active.last() {
+            self.latch_jam_flags(jammed, jam_active);
+        }
+    }
+
+    /// One sample period of the datapath, shared by [`DspCore::process`]
+    /// and [`DspCore::process_block_into`].
+    #[inline(always)]
+    fn step(&mut self, rx: IqI16) -> CoreOutput {
+        let sample = self.now;
+        self.now += 1;
+
+        let xo = self.xcorr.push(rx);
+        let eo = self.energy.push(rx);
+        let pulses = Pulses {
+            xcorr: xo.trigger,
+            energy_high: eo.trigger_high,
+            energy_low: eo.trigger_low,
+        };
+        let mut jam_trigger = false;
+        if pulses == Pulses::default() {
+            self.builder.idle();
+        } else {
+            self.log_detections(sample, xo.metric, pulses);
+            let masked = Pulses {
+                xcorr: pulses.xcorr && self.src_xcorr,
+                energy_high: pulses.energy_high && self.src_energy_high,
+                energy_low: pulses.energy_low && self.src_energy_low,
+            };
+            jam_trigger = self.builder.push(masked);
+            if jam_trigger {
+                self.log_jam_trigger(sample);
+            }
+        }
+        if self.capture.is_some() {
+            self.capture_tick(rx, jam_trigger, sample);
+        }
+
+        let tx = self.jammer.tick(jam_trigger, rx);
+        if rjam_obs::enabled() && self.stats.burst_cursor < self.jammer.events().len() {
+            self.account_burst_starts();
+        }
+        CoreOutput {
+            tx,
+            pulses,
+            jam_trigger,
+        }
+    }
+
+    /// Logs this sample's detector pulses: event log, sticky host-feedback
+    /// flags and statistics.
+    #[inline(never)]
+    fn log_detections(&mut self, sample: u64, metric: u64, pulses: Pulses) {
+        let cycle = sample * CLOCKS_PER_SAMPLE + 1;
+        if pulses.xcorr {
+            self.events.push(CoreEvent::XcorrDetection {
+                sample,
+                cycle,
+                metric,
+            });
+            self.bus
+                .set_bits(RegisterMap::HostFeedback, host_feedback::XCORR_DET);
+            if rjam_obs::enabled() {
+                self.stats.xcorr_fires += 1;
+                self.stats
+                    .recorder
+                    .record(cycle, "xcorr_fire", metric as i64, 0);
+            }
+        }
+        if pulses.energy_high {
+            self.events.push(CoreEvent::EnergyHigh { sample, cycle });
+            self.bus
+                .set_bits(RegisterMap::HostFeedback, host_feedback::ENERGY_HIGH);
+            if rjam_obs::enabled() {
+                self.stats.energy_high_fires += 1;
+                self.stats.recorder.record(cycle, "energy_high", 0, 0);
+            }
+        }
+        if pulses.energy_low {
+            self.events.push(CoreEvent::EnergyLow { sample, cycle });
+            self.bus
+                .set_bits(RegisterMap::HostFeedback, host_feedback::ENERGY_LOW);
+            if rjam_obs::enabled() {
+                self.stats.energy_low_fires += 1;
+                self.stats.recorder.record(cycle, "energy_low", 0, 0);
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn log_jam_trigger(&mut self, sample: u64) {
+        let cycle = sample * CLOCKS_PER_SAMPLE + 1;
+        self.events.push(CoreEvent::JamTrigger { sample, cycle });
+        if rjam_obs::enabled() {
+            self.stats.jam_triggers += 1;
+            self.stats.recorder.record(cycle, "jam_trigger", 0, 0);
+        }
+    }
+
+    /// Clocks the packet-assembly FIFO and tracks its high-water mark and
+    /// overflow.
+    #[inline(never)]
+    fn capture_tick(&mut self, rx: IqI16, jam_trigger: bool, sample: u64) {
+        let Some(cap) = self.capture.as_mut() else {
+            return;
+        };
+        cap.tick(rx, jam_trigger);
+        if !rjam_obs::enabled() {
+            return;
+        }
+        let cycle = sample * CLOCKS_PER_SAMPLE + 1;
+        let hw = cap.fifo().high_water() as u64;
+        if hw > self.stats.fifo_high_water {
+            self.stats.fifo_high_water = hw;
+        }
+        let overflow = cap.fifo().overflow();
+        if overflow > self.stats.capture_overflow {
+            self.stats.capture_overflow = overflow;
+            self.stats
+                .recorder
+                .record(cycle, "capture_overflow", overflow as i64, 0);
+            self.stats.recorder.trip(cycle, "capture_fifo_overflow");
+            rjam_obs::recorder::trip_global(cycle, "capture_fifo_overflow");
+        }
+    }
+
+    /// Updates the host-feedback jam flags: `JAMMED` is sticky once the
+    /// jammer drove the bus, `JAM_ACTIVE` follows the latest sample.
+    fn latch_jam_flags(&mut self, jammed: bool, jam_active: bool) {
+        if jammed {
+            self.bus
+                .set_bits(RegisterMap::HostFeedback, host_feedback::JAMMED);
+        }
+        if jam_active {
+            self.bus
+                .set_bits(RegisterMap::HostFeedback, host_feedback::JAM_ACTIVE);
+        } else {
+            self.bus
+                .clear_bits(RegisterMap::HostFeedback, host_feedback::JAM_ACTIVE);
         }
     }
 

@@ -102,7 +102,7 @@ impl EnergyDifferentiator {
     }
 
     /// Feeds one sample.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, s: IqI16) -> EnergyOutput {
         let x = s.energy();
         let y = self.window.push(x);

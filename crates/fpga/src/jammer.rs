@@ -66,6 +66,55 @@ enum State {
     Jamming(u64),
 }
 
+/// Taps of the maximal-length 32-bit Galois LFSR behind the WGN source.
+const LFSR_TAPS: u32 = 0x8020_0003;
+
+/// One bit-serial Galois step: shift right, feed the output bit back into
+/// the taps. Returns the output bit.
+const fn lfsr_step(state: &mut u32) -> u32 {
+    let lsb = *state & 1;
+    *state >>= 1;
+    if lsb == 1 {
+        *state ^= LFSR_TAPS;
+    }
+    lsb
+}
+
+/// Eight bit-serial steps taken at once, indexed by the state's low byte.
+///
+/// The eight output bits of a byte window depend only on the low 8 bits:
+/// feedback lands on bits 0, 1, 21 and 31, and bits 21 and 31 cannot shift
+/// down to bit 0 within 8 steps. The step is linear, so
+/// `state' = (state >> 8) ^ LFSR_BYTE_FEEDBACK[state & 0xFF]`, and
+/// `LFSR_BYTE_NIBBLES[state & 0xFF]` is the sum of the two 4-bit values the
+/// window emits (each MSB-first, as `next_bits(4)` assembles them).
+static LFSR_BYTE_FEEDBACK: [u32; 256] = lfsr_byte_tables().0;
+static LFSR_BYTE_NIBBLES: [u8; 256] = lfsr_byte_tables().1;
+
+const fn lfsr_byte_tables() -> ([u32; 256], [u8; 256]) {
+    let mut feedback = [0u32; 256];
+    let mut nibbles = [0u8; 256];
+    let mut v = 0;
+    while v < 256 {
+        let mut state = v as u32;
+        let mut sum = 0u8;
+        let mut nibble = 0u8;
+        let mut k = 0;
+        while k < 8 {
+            nibble = (nibble << 1) | lfsr_step(&mut state) as u8;
+            if k % 4 == 3 {
+                sum += nibble;
+                nibble = 0;
+            }
+            k += 1;
+        }
+        feedback[v] = state;
+        nibbles[v] = sum;
+        v += 1;
+    }
+    (feedback, nibbles)
+}
+
 /// Gaussian-ish noise from summed LFSR bits (hardware WGN idiom).
 #[derive(Clone, Debug)]
 struct LfsrWgn {
@@ -79,29 +128,27 @@ impl LfsrWgn {
         }
     }
 
-    #[inline]
+    /// Bit-serial reference: the next `n` output bits, first bit MSB.
+    #[cfg(test)]
     fn next_bits(&mut self, n: u32) -> u32 {
         let mut out = 0;
         for _ in 0..n {
-            let lsb = self.state & 1;
-            self.state >>= 1;
-            if lsb == 1 {
-                // Taps for a maximal-length 32-bit Galois LFSR.
-                self.state ^= 0x8020_0003;
-            }
-            out = (out << 1) | lsb;
+            out = (out << 1) | lfsr_step(&mut self.state);
         }
         out
     }
 
     /// One quasi-Gaussian component: sum of eight 4-bit uniforms, centered.
     /// Range is +-60 around zero with sigma ~ 10.95; scaled to ~half full
-    /// scale so the summed I/Q power fills the DAC without clipping.
+    /// scale so the summed I/Q power fills the DAC without clipping. Steps
+    /// the register a byte (two uniforms) at a time.
     #[inline]
     fn next_component(&mut self) -> i16 {
         let mut acc: i32 = 0;
-        for _ in 0..8 {
-            acc += self.next_bits(4) as i32;
+        for _ in 0..4 {
+            let low = (self.state & 0xFF) as usize;
+            acc += LFSR_BYTE_NIBBLES[low] as i32;
+            self.state = (self.state >> 8) ^ LFSR_BYTE_FEEDBACK[low];
         }
         ((acc - 60) * 270) as i16
     }
@@ -218,16 +265,25 @@ impl JamController {
     /// Advances one baseband sample: captures `rx` into the replay buffer,
     /// processes a possible `trigger`, and returns the TX sample if the
     /// controller is driving the DUC this sample.
+    #[inline(always)]
     pub fn tick(&mut self, trigger: bool, rx: IqI16) -> Option<IqI16> {
         let sample = self.now;
         self.now += 1;
         self.replay.push(rx);
+        // The common sample — an idle or disabled controller and no
+        // trigger — only records the replay history.
+        if !self.continuous && (!self.enabled || (self.state == State::Idle && !trigger)) {
+            return None;
+        }
+        self.advance(trigger, sample)
+    }
 
+    /// The state machine of [`JamController::tick`] for a sample that may
+    /// drive the bus.
+    #[inline(never)]
+    fn advance(&mut self, trigger: bool, sample: u64) -> Option<IqI16> {
         if self.continuous {
             return Some(self.next_tx_sample());
-        }
-        if !self.enabled {
-            return None;
         }
 
         // Detector pulses land on the cycle after the sample's arithmetic,
@@ -534,6 +590,20 @@ mod tests {
         assert_eq!(ctl.uptime, 2500);
         ctl.set_uptime_secs(0.00001); // 0.01 ms = 250 samples
         assert_eq!(ctl.uptime, 250);
+    }
+
+    #[test]
+    fn byte_stepped_wgn_matches_bit_serial_lfsr() {
+        for seed in [0, 1, 0xC0FF_EE01, 0xDEAD_BEEF, u32::MAX] {
+            let mut fast = LfsrWgn::new(seed);
+            let mut serial = LfsrWgn::new(seed);
+            for n in 0..50_000 {
+                let want: i32 = (0..8).map(|_| serial.next_bits(4) as i32).sum();
+                let want = ((want - 60) * 270) as i16;
+                assert_eq!(fast.next_component(), want, "seed {seed:#x} at {n}");
+                assert_eq!(fast.state, serial.state, "seed {seed:#x} at {n}");
+            }
+        }
     }
 
     #[test]

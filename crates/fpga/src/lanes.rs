@@ -1,20 +1,21 @@
-//! Bitsliced DSP lane bank: many correlator hypotheses per popcount pass.
+//! DSP lane bank: many correlator hypotheses per template-table pass.
 //!
 //! The paper's FPGA evaluates all 64 correlator taps in one clock; the
-//! software analogue ([`crate::CrossCorrelator::push`]) already bit-slices
-//! one core's taps into `u64` popcounts, but each pass still serves exactly
-//! one (template, threshold, lockout) tuple. Workspace-scale studies —
-//! ROC threshold sweeps, false-alarm grids, fleets of modeled radios
-//! listening to one air stream — re-run that identical pass N times over
-//! the same sign bits.
+//! software analogue ([`crate::CrossCorrelator::push`]) evaluates one
+//! core's taps with sixteen lookups into a per-template set of byte tables,
+//! but each pass still serves exactly one (template, threshold, lockout)
+//! tuple. Workspace-scale studies — ROC threshold sweeps, false-alarm
+//! grids, fleets of modeled radios listening to one air stream — re-run
+//! that identical pass N times over the same sign bits.
 //!
 //! [`DspLaneBank`] amortizes the pass: up to [`MAX_LANES`] independent
 //! detection *lanes* share one pair of sign-history shift registers, and
-//! lanes that share a template also share its precomputed bit-plane rails,
-//! so the expensive popcount evaluation runs once per *distinct template*
-//! per sample while the per-lane work collapses to a threshold compare and
-//! trigger/lockout bookkeeping. A threshold sweep over one template is the
-//! ideal case: one metric evaluation feeds all lanes.
+//! lanes that share a template also share its tables (the same kernel
+//! [`crate::CrossCorrelator`] runs), so the metric evaluation runs once per
+//! *distinct template* per sample while the per-lane work collapses to a
+//! threshold compare and trigger/lockout bookkeeping. A threshold sweep
+//! over one template is the ideal case: one metric evaluation feeds all
+//! lanes.
 //!
 //! Two datapaths are provided, sharing one classifier so they cannot
 //! diverge:
@@ -35,7 +36,7 @@
 //! `reset()` is bit-equivalent to a fresh bank, so banks pool in
 //! `CampaignEngine::run_units` like any other unit state.
 
-use crate::xcorr::{Coeff3, Rail, XcorrOutput};
+use crate::xcorr::{Template, XcorrOutput};
 use rjam_sdr::complex::IqI16;
 
 /// Maximum number of lanes one bank can hold.
@@ -44,16 +45,6 @@ use rjam_sdr::complex::IqI16;
 /// than it has history bits before a second bank is cheaper anyway (each
 /// additional bank shares nothing but code).
 pub const MAX_LANES: usize = 64;
-
-/// One distinct template's precomputed rails, shared by every lane that
-/// loaded the same coefficients.
-#[derive(Clone, Debug)]
-struct TemplateGroup {
-    coeff_i: [i8; 64],
-    coeff_q: [i8; 64],
-    rail_i: Rail,
-    rail_q: Rail,
-}
 
 /// Per-lane classifier state, mirroring [`crate::CrossCorrelator`] exactly.
 #[derive(Clone, Debug)]
@@ -95,10 +86,12 @@ impl LaneBankScratch {
 }
 
 /// A bank of up to [`MAX_LANES`] cross-correlator hypotheses sharing one
-/// sign-bit stream and, per distinct template, one set of bit-plane rails.
+/// sign-bit stream and, per distinct template, one set of template tables.
 #[derive(Clone, Debug)]
 pub struct DspLaneBank {
-    groups: Vec<TemplateGroup>,
+    /// One table set per distinct template, shared by every lane that
+    /// loaded the same coefficients.
+    groups: Vec<Template>,
     lanes: Vec<LaneState>,
     /// Shared sign histories: bit k set when the sample `k` pushes ago was
     /// negative; bit 0 is the newest sample.
@@ -121,7 +114,7 @@ impl DspLaneBank {
     }
 
     /// Adds a detection lane and returns its index. Lanes with identical
-    /// coefficient templates share one rail evaluation per sample.
+    /// coefficient templates share one metric evaluation per sample.
     ///
     /// # Panics
     /// Panics if the bank already holds [`MAX_LANES`] lanes or any
@@ -137,28 +130,10 @@ impl DspLaneBank {
             self.lanes.len() < MAX_LANES,
             "lane bank is full ({MAX_LANES} lanes)"
         );
-        let group = match self
-            .groups
-            .iter()
-            .position(|g| g.coeff_i == *ci && g.coeff_q == *cq)
-        {
+        let group = match self.groups.iter().position(|g| g.matches(ci, cq)) {
             Some(g) => g,
             None => {
-                // Reverse tap order once at load time, exactly like
-                // CrossCorrelator::rebuild_rails: mask bit k holds the sample
-                // k pushes ago, so tap 63-k sits at plane position k.
-                let mut rev_i = [Coeff3::new(0); 64];
-                let mut rev_q = [Coeff3::new(0); 64];
-                for k in 0..64 {
-                    rev_i[k] = Coeff3::new(ci[63 - k]);
-                    rev_q[k] = Coeff3::new(cq[63 - k]);
-                }
-                self.groups.push(TemplateGroup {
-                    coeff_i: *ci,
-                    coeff_q: *cq,
-                    rail_i: Rail::new(&rev_i),
-                    rail_q: Rail::new(&rev_q),
-                });
+                self.groups.push(Template::new(ci, cq));
                 self.groups.len() - 1
             }
         };
@@ -183,7 +158,7 @@ impl DspLaneBank {
         self.lanes.is_empty()
     }
 
-    /// Number of distinct templates (shared rail evaluations per sample).
+    /// Number of distinct templates (shared metric evaluations per sample).
     pub fn groups(&self) -> usize {
         self.groups.len()
     }
@@ -216,14 +191,7 @@ impl DspLaneBank {
     /// # Panics
     /// Panics if `lane` is out of range.
     pub fn max_metric(&self, lane: usize) -> u64 {
-        let g = &self.groups[self.lanes[lane].group];
-        let max_i: i64 = g
-            .coeff_i
-            .iter()
-            .chain(g.coeff_q.iter())
-            .map(|&c| (c as i64).abs())
-            .sum();
-        (max_i * max_i) as u64
+        self.groups[self.lanes[lane].group].max_metric()
     }
 
     /// Resets all streaming state — sign histories, warmup, per-lane
@@ -250,13 +218,11 @@ impl DspLaneBank {
     }
 
     /// Evaluates each distinct template's metric once for the current
-    /// histories — the shared popcount pass all lanes amortize.
+    /// histories — the shared table pass all lanes amortize.
     #[inline]
     fn group_metrics(&self, metrics: &mut [u64; MAX_LANES]) {
-        for (g, grp) in self.groups.iter().enumerate() {
-            let re = grp.rail_i.corr(self.neg_i) + grp.rail_q.corr(self.neg_q);
-            let im = grp.rail_i.corr(self.neg_q) - grp.rail_q.corr(self.neg_i);
-            metrics[g] = (re as i64 * re as i64 + im as i64 * im as i64) as u64;
+        for (slot, template) in metrics.iter_mut().zip(&self.groups) {
+            *slot = template.metric(self.neg_i, self.neg_q);
         }
     }
 

@@ -9,7 +9,8 @@
 //!   and jammer settings at run time;
 //! * [`xcorr`] — the 64-sample weighted-phase **cross-correlator** (derived
 //!   from the Rice WARP OFDM reference design): sign-bit inputs, 3-bit
-//!   signed coefficients, squared-magnitude output against a threshold;
+//!   signed coefficients, squared-magnitude output against a threshold,
+//!   evaluated from per-template byte lookup tables;
 //! * [`energy`] — the **energy differentiator**: a 32-sample running energy
 //!   sum compared against its own value 64 samples earlier, scaled by
 //!   programmable high/low thresholds (3-30 dB);
@@ -22,9 +23,10 @@
 //! * [`core`] — [`core::DspCore`], wiring the blocks together sample by
 //!   sample with full cycle accounting, event logging and host feedback
 //!   flags;
-//! * [`lanes`] — the bitsliced **DSP lane bank** ([`DspLaneBank`]): up to 64
+//! * [`lanes`] — the **DSP lane bank** ([`DspLaneBank`]): up to 64
 //!   independent (template, threshold, lockout) detection hypotheses sharing
-//!   one stream's sign-history popcount passes, for workspace-scale sweeps.
+//!   one stream's sign histories and, per distinct template, one
+//!   template-table metric evaluation, for workspace-scale sweeps.
 //!
 //! All arithmetic uses the hardware's bit widths (16-bit I/Q, 31-bit sample
 //! energy, 36-bit windowed energy) so detection statistics — including the

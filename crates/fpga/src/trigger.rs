@@ -133,6 +133,18 @@ impl TriggerBuilder {
         }
     }
 
+    /// Advances one sample with no pulses; equivalent to
+    /// `push(Pulses::default())`, which never fires. A sequence whose
+    /// window lapses meanwhile is discarded at the next [`push`] instead:
+    /// expiry is monotone in time and the partial-sequence state is
+    /// private, so no caller can tell the difference.
+    ///
+    /// [`push`]: TriggerBuilder::push
+    #[inline]
+    pub fn idle(&mut self) {
+        self.now += 1;
+    }
+
     /// Resets the state machine.
     pub fn reset(&mut self) {
         self.stage = 0;
@@ -265,6 +277,42 @@ mod tests {
             stages: vec![TriggerSource::Xcorr; 4],
             window: 10,
         });
+    }
+
+    #[test]
+    fn idle_matches_push_without_pulses() {
+        let mut rng = rjam_sdr::rng::Rng::seed_from(31);
+        for window in [2, 6, 40] {
+            let mode = TriggerMode::Sequence {
+                stages: vec![
+                    TriggerSource::Xcorr,
+                    TriggerSource::EnergyLow,
+                    TriggerSource::EnergyHigh,
+                ],
+                window,
+            };
+            let mut pushed = TriggerBuilder::new(mode.clone());
+            let mut idled = TriggerBuilder::new(mode);
+            let mut fired = 0;
+            for _ in 0..20_000 {
+                let p = match rng.below(12) {
+                    0 => P_X,
+                    1 => P_EL,
+                    2 => P_EH,
+                    _ => P_NONE,
+                };
+                let want = pushed.push(p);
+                let got = if p == P_NONE {
+                    idled.idle();
+                    false
+                } else {
+                    idled.push(p)
+                };
+                assert_eq!(got, want, "window {window}");
+                fired += usize::from(want);
+            }
+            assert!(fired > 0, "window {window} never completed a sequence");
+        }
     }
 
     #[test]

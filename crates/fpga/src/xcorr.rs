@@ -18,11 +18,12 @@
 //!
 //! * [`CrossCorrelator::push_reference`] — the straightforward 64-tap loop,
 //!   matching the block diagram one multiply-accumulate at a time;
-//! * [`CrossCorrelator::push`] — a bit-sliced form that keeps the sign
-//!   history in two `u64` shift registers and evaluates each rail with a
-//!   handful of popcounts over precomputed coefficient bit-planes. This is
-//!   the software analogue of the FPGA evaluating all 64 taps in one clock,
-//!   and is what makes workspace-scale Monte Carlo sweeps tractable.
+//! * [`CrossCorrelator::push`] — a table-driven form that keeps the sign
+//!   history in two `u64` shift registers and evaluates both rails from a
+//!   per-template set of eight 256-entry byte tables (`Template`): sixteen
+//!   L1 loads per sample, no popcounts. This is the software analogue of
+//!   the FPGA evaluating all 64 taps in one clock, and is what makes
+//!   workspace-scale Monte Carlo sweeps tractable.
 //!
 //! Property tests assert the two agree on random streams.
 
@@ -54,64 +55,127 @@ impl Coeff3 {
     }
 }
 
-/// Precomputed bit-planes for one 64-tap coefficient rail.
+/// One 64-tap complex template as byte-indexed lookup tables — the
+/// correlator kernel shared by [`CrossCorrelator`] and
+/// [`crate::DspLaneBank`].
 ///
 /// For sign inputs `s in {+1,-1}` encoded as a "negative" bitmask `b`
-/// (bit set when the sample is negative), the rail sum is
+/// (bit set when the sample is negative), a rail sum is
 ///
 /// ```text
 ///   sum_k s_k c_k = C_total - 2 * sum_{k: b_k} c_k
 /// ```
 ///
-/// and the masked coefficient sum decomposes over the two's-complement
-/// bit-planes of the 3-bit coefficients: `c = -4 c2 + 2 c1 + c0`, so three
-/// popcounts evaluate it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Rail {
-    p0: u64,
-    p1: u64,
-    p2: u64,
-    total: i32,
+/// The masked coefficient sum splits over the mask's eight bytes: table
+/// `b` holds, for every byte value `v`, the sum of the coefficients whose
+/// taps sit at the set bits of `v`. Both rails share one entry, packed as
+/// `sum_i + (sum_q << 16)`; each masked sum is at most `64 * 4 = 256` in
+/// magnitude, so the halves never interfere and eight loads yield both
+/// rails' sums for one mask.
+#[derive(Clone, Debug)]
+pub(crate) struct Template {
+    /// Coefficients as loaded, taps oldest-first.
+    coeff_i: [i8; 64],
+    coeff_q: [i8; 64],
+    /// `table[b][v]`: packed masked sums of byte `b` of the mask equal to
+    /// `v`. Boxed (8 KiB) and refilled in place on reload.
+    table: Box<[[i32; 256]; 8]>,
+    total_i: i32,
+    total_q: i32,
 }
 
-impl Rail {
-    pub(crate) fn new(coeffs: &[Coeff3; 64]) -> Self {
-        let (mut p0, mut p1, mut p2) = (0u64, 0u64, 0u64);
-        let mut total = 0i32;
-        for (k, c) in coeffs.iter().enumerate() {
-            let bits = (c.0 as u8) & 0x7;
-            if bits & 1 != 0 {
-                p0 |= 1 << k;
-            }
-            if bits & 2 != 0 {
-                p1 |= 1 << k;
-            }
-            if bits & 4 != 0 {
-                p2 |= 1 << k;
-            }
-            total += c.0 as i32;
-        }
-        Rail { p0, p1, p2, total }
+impl Template {
+    /// Builds the tables for coefficients `(ci, cq)`, taps oldest-first.
+    ///
+    /// # Panics
+    /// Panics if any coefficient is outside `-4..=3`.
+    pub(crate) fn new(ci: &[i8; 64], cq: &[i8; 64]) -> Self {
+        let mut template = Template {
+            coeff_i: [0; 64],
+            coeff_q: [0; 64],
+            table: Box::new([[0; 256]; 8]),
+            total_i: 0,
+            total_q: 0,
+        };
+        template.load(ci, cq);
+        template
     }
 
-    /// Correlation of the rail against a sign history encoded as a
-    /// negative-sample bitmask.
-    #[inline]
-    pub(crate) fn corr(&self, neg_mask: u64) -> i32 {
-        let masked = (neg_mask & self.p0).count_ones() as i32
-            + 2 * (neg_mask & self.p1).count_ones() as i32
-            - 4 * (neg_mask & self.p2).count_ones() as i32;
-        self.total - 2 * masked
+    /// Loads coefficients (taps oldest-first), refilling the tables in
+    /// place.
+    ///
+    /// # Panics
+    /// Panics if any coefficient is outside `-4..=3`.
+    pub(crate) fn load(&mut self, ci: &[i8; 64], cq: &[i8; 64]) {
+        for &c in ci.iter().chain(cq) {
+            Coeff3::new(c);
+        }
+        self.coeff_i = *ci;
+        self.coeff_q = *cq;
+        self.total_i = ci.iter().map(|&c| c as i32).sum();
+        self.total_q = cq.iter().map(|&c| c as i32).sum();
+        for (b, table) in self.table.iter_mut().enumerate() {
+            table[0] = 0;
+            for v in 1..256usize {
+                // Mask bit k holds the sample k pushes ago, which lines up
+                // with tap 63-k; extend the entry without v's lowest bit.
+                let k = 8 * b + v.trailing_zeros() as usize;
+                let tap = (ci[63 - k] as i32) + ((cq[63 - k] as i32) << 16);
+                table[v] = table[v & (v - 1)] + tap;
+            }
+        }
+    }
+
+    /// True when the loaded coefficients equal `(ci, cq)`.
+    pub(crate) fn matches(&self, ci: &[i8; 64], cq: &[i8; 64]) -> bool {
+        self.coeff_i == *ci && self.coeff_q == *cq
+    }
+
+    /// `(sum_i, sum_q)` of the coefficients under the set bits of `mask`.
+    #[inline(always)]
+    fn masked(&self, mask: u64) -> (i32, i32) {
+        let mut packed = 0i32;
+        for (b, table) in self.table.iter().enumerate() {
+            packed += table[((mask >> (8 * b)) & 0xFF) as usize];
+        }
+        let sum_i = packed as i16 as i32;
+        (sum_i, (packed - sum_i) >> 16)
+    }
+
+    /// Squared correlation magnitude against the sign histories.
+    ///
+    /// Complex correlation with the template conjugate:
+    /// `re = sI.cI + sQ.cQ`, `im = sQ.cI - sI.cQ`.
+    #[inline(always)]
+    pub(crate) fn metric(&self, neg_i: u64, neg_q: u64) -> u64 {
+        let (i_of_i, q_of_i) = self.masked(neg_i);
+        let (i_of_q, q_of_q) = self.masked(neg_q);
+        let re = (self.total_i - 2 * i_of_i) + (self.total_q - 2 * q_of_q);
+        let im = (self.total_i - 2 * i_of_q) - (self.total_q - 2 * q_of_i);
+        (re as i64 * re as i64 + im as i64 * im as i64) as u64
+    }
+
+    /// `(sum |cI| + sum |cQ|)^2`, the largest metric the template can
+    /// produce. The bound is exactly attained: a matched sign stream drives
+    /// `re` to the absolute-coefficient sum with `im = 0`, and a
+    /// 90-degree-rotated copy drives `im` there with `re = 0` (see
+    /// `matched_template_peaks_at_alignment` and
+    /// `rotated_input_appears_in_imaginary_rail`).
+    pub(crate) fn max_metric(&self) -> u64 {
+        let max: i64 = self
+            .coeff_i
+            .iter()
+            .chain(self.coeff_q.iter())
+            .map(|&c| (c as i64).abs())
+            .sum();
+        (max * max) as u64
     }
 }
 
 /// The streaming cross-correlator block.
 #[derive(Clone, Debug)]
 pub struct CrossCorrelator {
-    coeff_i: [Coeff3; 64],
-    coeff_q: [Coeff3; 64],
-    rail_i: Rail,
-    rail_q: Rail,
+    template: Template,
     /// Sign histories: bit k set when the sample `k` taps ago was negative.
     /// Bit 0 is the newest sample.
     neg_i: u64,
@@ -141,12 +205,8 @@ impl CrossCorrelator {
     /// Creates a correlator with all-zero coefficients and an effectively
     /// disabled threshold.
     pub fn new() -> Self {
-        let zero = [Coeff3(0); 64];
         CrossCorrelator {
-            coeff_i: zero,
-            coeff_q: zero,
-            rail_i: Rail::new(&zero),
-            rail_q: Rail::new(&zero),
+            template: Template::new(&[0; 64], &[0; 64]),
             neg_i: 0,
             neg_q: 0,
             threshold: u64::MAX,
@@ -164,24 +224,20 @@ impl CrossCorrelator {
     pub fn load_coeffs(&mut self, ci: &[Coeff3], cq: &[Coeff3]) {
         assert_eq!(ci.len(), 64, "I rail must have 64 taps");
         assert_eq!(cq.len(), 64, "Q rail must have 64 taps");
-        self.coeff_i.copy_from_slice(ci);
-        self.coeff_q.copy_from_slice(cq);
-        self.rebuild_rails();
+        let raw = |c: &[Coeff3]| -> [i8; 64] { std::array::from_fn(|k| c[k].0) };
+        self.template.load(&raw(ci), &raw(cq));
     }
 
     /// Loads coefficients from raw `i8` values (register-bus unpacked form).
     ///
-    /// Converts in place with no heap allocation — this is the "on-the-fly
-    /// personality change" path and must stay allocation-free.
+    /// Refills the template tables in place with no heap allocation — this
+    /// is the "on-the-fly personality change" path and must stay
+    /// allocation-free.
     ///
     /// # Panics
     /// Panics if any coefficient is outside `-4..=3`.
     pub fn load_coeffs_raw(&mut self, ci: &[i8; 64], cq: &[i8; 64]) {
-        for k in 0..64 {
-            self.coeff_i[k] = Coeff3::new(ci[k]);
-            self.coeff_q[k] = Coeff3::new(cq[k]);
-        }
-        self.rebuild_rails();
+        self.template.load(ci, cq);
     }
 
     /// Sets the detection threshold on the squared-magnitude metric.
@@ -201,36 +257,21 @@ impl CrossCorrelator {
 
     /// Maximum possible metric for the loaded template (used by hosts to
     /// place thresholds as a fraction of the peak).
+    ///
+    /// Each accumulator can reach at most the sum of absolute coefficient
+    /// magnitudes across both rails, and that bound is exactly attained, so
+    /// the metric `re^2 + im^2` peaks at exactly its square.
     pub fn max_metric(&self) -> u64 {
-        let max_i: i64 = self
-            .coeff_i
-            .iter()
-            .chain(self.coeff_q.iter())
-            .map(|c| (c.0 as i64).abs())
-            .sum();
-        // Each accumulator can reach at most the sum of absolute coefficient
-        // magnitudes across both rails, and that bound is exactly attained:
-        // a matched sign stream drives re to max_i with im = 0, and a
-        // 90-degree-rotated copy drives im to max_i with re = 0 (see
-        // `matched_template_peaks_at_alignment` and
-        // `rotated_input_appears_in_imaginary_rail`). The metric re^2 + im^2
-        // therefore peaks at exactly max_i^2.
-        (max_i * max_i) as u64
+        self.template.max_metric()
     }
 
-    /// Feeds one sample through the bit-sliced datapath.
-    #[inline]
+    /// Feeds one sample through the template-table datapath.
+    #[inline(always)]
     pub fn push(&mut self, s: IqI16) -> XcorrOutput {
         self.neg_i = (self.neg_i << 1) | u64::from(s.i < 0);
         self.neg_q = (self.neg_q << 1) | u64::from(s.q < 0);
         self.fed += 1;
-        // Complex correlation with template conjugate:
-        //   re = sI.cI + sQ.cQ     im = sQ.cI - sI.cQ
-        // Rails were built with tap order reversed so that plane bit k lines
-        // up with the sample k pushes ago (mask bit k).
-        let re = self.rail_i.corr(self.neg_i) + self.rail_q.corr(self.neg_q);
-        let im = self.rail_i.corr(self.neg_q) - self.rail_q.corr(self.neg_i);
-        let metric = (re as i64 * re as i64 + im as i64 * im as i64) as u64;
+        let metric = self.template.metric(self.neg_i, self.neg_q);
         self.classify(metric)
     }
 
@@ -246,8 +287,8 @@ impl CrossCorrelator {
             // coefficient tap 63-k (taps stored oldest-first).
             let si: i32 = if (self.neg_i >> k) & 1 == 1 { -1 } else { 1 };
             let sq: i32 = if (self.neg_q >> k) & 1 == 1 { -1 } else { 1 };
-            let ci = self.coeff_i[63 - k].0 as i32;
-            let cq = self.coeff_q[63 - k].0 as i32;
+            let ci = self.template.coeff_i[63 - k] as i32;
+            let cq = self.template.coeff_q[63 - k] as i32;
             re += si * ci + sq * cq;
             im += sq * ci - si * cq;
         }
@@ -287,22 +328,6 @@ impl CrossCorrelator {
 impl Default for CrossCorrelator {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl CrossCorrelator {
-    // Mask bit k holds the sample k pushes ago, so coefficient tap 63-k must
-    // sit at plane position k: reverse the tap order once at load time and
-    // keep the hot loop branch-free.
-    fn rebuild_rails(&mut self) {
-        let mut rev_i = [Coeff3(0); 64];
-        let mut rev_q = [Coeff3(0); 64];
-        for k in 0..64 {
-            rev_i[k] = self.coeff_i[63 - k];
-            rev_q[k] = self.coeff_q[63 - k];
-        }
-        self.rail_i = Rail::new(&rev_i);
-        self.rail_q = Rail::new(&rev_q);
     }
 }
 
@@ -365,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_bitsliced_agree() {
+    fn reference_and_table_datapaths_agree() {
         let mut rng = Rng::seed_from(12);
         let ci: Vec<Coeff3> = (0..64)
             .map(|_| Coeff3::saturating(rng.below(8) as i32 - 4))

@@ -13,7 +13,13 @@
 use crate::xcorr::Coeff3;
 use rjam_sdr::complex::IqI16;
 
-/// One coefficient rail as chunked bit-planes (see `xcorr::Rail`).
+/// One coefficient rail as chunked bit-planes.
+///
+/// For a sign history encoded as a negative-sample bitmask `b`, the rail
+/// sum is `C_total - 2 * sum_{k: b_k} c_k`, and the masked sum decomposes
+/// over the two's-complement bit-planes of the 3-bit coefficients
+/// (`c = -4 c2 + 2 c1 + c0`): three popcounts per 64-tap chunk. The fixed
+/// 64-tap [`crate::CrossCorrelator`] uses byte tables instead.
 #[derive(Clone, Debug)]
 struct WideRail {
     p0: Vec<u64>,

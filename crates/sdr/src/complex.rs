@@ -190,6 +190,21 @@ impl Sum for Cf64 {
     }
 }
 
+/// `round(x * i16::MAX)` (half away from zero), saturated to `i16`.
+///
+/// Clamping before rounding gives the same result as after it, and inside
+/// the `i16` range `v - trunc(v)` is exact, so rounding reduces to
+/// comparing the fraction against one half — no call to libm's `round`,
+/// which the baseline x86-64 target lacks an instruction for. NaN maps to
+/// 0, as `NaN as i16` does.
+#[inline]
+fn quantize_component(x: f64) -> i16 {
+    let v = (x * i16::MAX as f64).clamp(i16::MIN as f64, i16::MAX as f64);
+    let t = v as i32;
+    let frac = v - t as f64;
+    (t + i32::from(frac >= 0.5) - i32::from(frac <= -0.5)) as i16
+}
+
 /// A 16-bit signed I/Q sample as produced by the USRP's DDC chain.
 ///
 /// Full scale is `i16::MAX`; [`IqI16::from_cf64`] maps a floating-point
@@ -218,12 +233,7 @@ impl IqI16 {
     /// Values outside `[-1.0, 1.0]` saturate, mirroring the hardware clip.
     #[inline]
     pub fn from_cf64(s: Cf64) -> Self {
-        #[inline]
-        fn q(x: f64) -> i16 {
-            let v = (x * i16::MAX as f64).round();
-            v.clamp(i16::MIN as f64, i16::MAX as f64) as i16
-        }
-        IqI16::new(q(s.re), q(s.im))
+        IqI16::new(quantize_component(s.re), quantize_component(s.im))
     }
 
     /// Converts back to floating point with full scale mapped to 1.0.
@@ -338,6 +348,38 @@ mod tests {
         let clipped = IqI16::from_cf64(Cf64::new(4.0, -4.0));
         assert_eq!(clipped.i, i16::MAX);
         assert_eq!(clipped.q, i16::MIN);
+    }
+
+    #[test]
+    fn quantize_matches_round_then_clamp() {
+        let oracle = |x: f64| (x * i16::MAX as f64).round().clamp(-32768.0, 32767.0) as i16;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+        ];
+        // Every half-integer step across and beyond the i16 range, plus
+        // its neighbours one ulp either side.
+        for k in -33_000..33_000 {
+            let v = k as f64 + 0.5;
+            for v in [
+                v,
+                f64::from_bits(v.to_bits() - 1),
+                f64::from_bits(v.to_bits() + 1),
+            ] {
+                xs.push(v / i16::MAX as f64);
+            }
+        }
+        let mut rng = crate::rng::Rng::seed_from(5);
+        xs.extend((0..100_000).map(|_| rng.gaussian() * 0.3));
+        for x in xs {
+            assert_eq!(quantize_component(x), oracle(x), "x = {x:e}");
+        }
     }
 
     #[test]

@@ -43,7 +43,10 @@ impl<T: Copy + Default> DelayLine<T> {
     pub fn push(&mut self, v: T) -> T {
         let out = self.buf[self.pos];
         self.buf[self.pos] = v;
-        self.pos = (self.pos + 1) % self.buf.len();
+        self.pos += 1;
+        if self.pos == self.buf.len() {
+            self.pos = 0;
+        }
         out
     }
 
@@ -151,7 +154,10 @@ impl ReplayBuffer {
     #[inline]
     pub fn push(&mut self, s: IqI16) {
         self.buf[self.pos] = s;
-        self.pos = (self.pos + 1) % self.buf.len();
+        self.pos += 1;
+        if self.pos == self.buf.len() {
+            self.pos = 0;
+        }
         if self.filled < self.buf.len() {
             self.filled += 1;
         }

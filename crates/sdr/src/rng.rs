@@ -90,13 +90,31 @@ impl Rng {
         if let Some(v) = self.spare.take() {
             return v;
         }
+        let (first, second) = self.box_muller();
+        self.spare = Some(second);
+        first
+    }
+
+    /// Two standard normal variates, exactly `(self.gaussian(),
+    /// self.gaussian())`. With no cached spare it returns a fresh
+    /// Box-Muller pair directly, skipping the spare round trip.
+    #[inline]
+    pub fn gaussian_pair(&mut self) -> (f64, f64) {
+        if self.spare.is_some() {
+            return (self.gaussian(), self.gaussian());
+        }
+        self.box_muller()
+    }
+
+    /// One Box-Muller pair `(r cos theta, r sin theta)`.
+    #[inline]
+    fn box_muller(&mut self) -> (f64, f64) {
         // Draw u1 in (0,1] to avoid ln(0).
         let u1 = 1.0 - self.uniform();
         let u2 = self.uniform();
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f64::consts::PI * u2;
-        self.spare = Some(r * theta.sin());
-        r * theta.cos()
+        (r * theta.cos(), r * theta.sin())
     }
 
     /// Exponential variate with the given rate parameter (mean `1/rate`).
