@@ -35,6 +35,16 @@ step "bench report is valid JSON"
 test -s BENCH_xcorr_throughput.json
 cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_xcorr_throughput.json
 
+step "PHY chain bench smoke (modulation, receivers, Viterbi, FFT, resampler, detection-sweep emission)"
+# Smoke only: the records include the detection sweep's per-frame shapes
+# (modulate_60B/R12, to_usrp_rate/60B_R12). No absolute-time baseline gate;
+# such gates measure the runner, not the code.
+RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
+    RJAM_BENCH_OUT="$(pwd)" \
+    cargo bench -q -p rjam-bench --offline --bench phy_chain
+test -s BENCH_phy_chain.json
+cargo run -q --release --offline -p rjam-bench --bin check_bench_json -- BENCH_phy_chain.json
+
 step "lane bank bench smoke (lanes 1/4/16/64, block sizes, multi-template)"
 RJAM_BENCH_SAMPLES=3 RJAM_BENCH_WARMUP_MS=5 RJAM_BENCH_BATCH_MS=2 \
     RJAM_BENCH_OUT="$(pwd)" \

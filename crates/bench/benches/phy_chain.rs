@@ -1,13 +1,15 @@
 //! PHY-layer micro-benchmarks: frame modulation, the reference receiver,
 //! the Viterbi decoder, the 64-point FFT and the 20->25 MSPS resampler —
-//! the hot paths of every detection sweep.
+//! the hot paths of every detection sweep. `modulate_60B/R12` and
+//! `to_usrp_rate/60B_R12` are the exact per-frame emission shapes of the
+//! WiFi detection sweep (60-byte PSDU at 12 Mb/s).
 
 use rjam_bench::harness::Harness;
 use rjam_phy80211::convcode::{decode, encode, CodeRate};
 use rjam_phy80211::{decode_frame, modulate_frame, Frame, Rate};
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::fft::Fft;
-use rjam_sdr::resample::Rational;
+use rjam_sdr::resample::{to_usrp_rate, Rational};
 use rjam_sdr::rng::Rng;
 use std::hint::black_box;
 
@@ -70,6 +72,20 @@ fn main() {
         input.len() as u64,
         || black_box(r.process(black_box(&input))),
     );
+
+    // The detection sweep's per-frame emission: modulate a 60-byte R12
+    // frame, then convert it to the detector's 25 MSPS.
+    let mut rng = Rng::seed_from(15);
+    let mut psdu = vec![0u8; 60];
+    rng.fill_bytes(&mut psdu);
+    let frame = Frame::new(Rate::R12, psdu);
+    h.bench("modulate_60B", "R12", || {
+        black_box(modulate_frame(black_box(&frame)))
+    });
+    let native = modulate_frame(&frame);
+    h.bench("to_usrp_rate", "60B_R12", || {
+        black_box(to_usrp_rate(black_box(&native), rjam_sdr::WIFI_SAMPLE_RATE))
+    });
 
     h.finish();
 }

@@ -88,6 +88,21 @@ fn emission_waveform(kind: WifiEmission, rate: rjam_phy80211::Rate, rng: &mut Rn
     fractional_delay(&up, rng.uniform() * 0.999)
 }
 
+/// Refills `stream` with one detection trial: `LEAD_IN` noise samples,
+/// the frame plus noise, then `TAIL` noise samples, drawing the noise in
+/// stream order. Returns the frame's detection window `[lo, hi)` within
+/// the stream (`hi` allows 64 samples of pipeline lag).
+fn frame_in_noise(stream: &mut Vec<Cf64>, wave: &[Cf64], noise: &mut NoiseSource) -> (u64, u64) {
+    stream.clear();
+    stream.resize(LEAD_IN, Cf64::ZERO);
+    noise.fill(stream);
+    stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
+    let tail = stream.len();
+    stream.resize(tail + TAIL, Cf64::ZERO);
+    noise.fill(&mut stream[tail..]);
+    (LEAD_IN as u64, tail as u64 + 64)
+}
+
 /// Counts detections whose sample index falls inside `[lo, hi)`.
 fn count_in_window(events: &[CoreEvent], lo: u64, hi: u64, energy: bool) -> usize {
     events
@@ -236,17 +251,7 @@ fn detection_lane_counts(
             for _ in 0..frames {
                 let mut wave = emission_waveform(emission, rjam_phy80211::Rate::R12, &mut rng);
                 scale_to_power(&mut wave, RX_LEVEL);
-                pool.stream.clear();
-                for _ in 0..LEAD_IN {
-                    pool.stream.push(noise.next_sample());
-                }
-                let frame_lo = pool.stream.len() as u64;
-                pool.stream
-                    .extend(wave.iter().map(|&s| s + noise.next_sample()));
-                let frame_hi = pool.stream.len() as u64 + 64; // allow pipeline lag
-                for _ in 0..TAIL {
-                    pool.stream.push(noise.next_sample());
-                }
+                let (frame_lo, frame_hi) = frame_in_noise(&mut pool.stream, &wave, &mut noise);
                 let base = pool.bank.samples_processed();
                 pool.quant.clear();
                 pool.quant
@@ -535,17 +540,7 @@ impl WifiDetectionSpec {
                         wave = ch.apply(&wave);
                     }
                     scale_to_power(&mut wave, RX_LEVEL);
-                    pool.stream.clear();
-                    for _ in 0..LEAD_IN {
-                        pool.stream.push(noise.next_sample());
-                    }
-                    let frame_lo = pool.stream.len() as u64;
-                    pool.stream
-                        .extend(wave.iter().map(|&s| s + noise.next_sample()));
-                    let frame_hi = pool.stream.len() as u64 + 64; // allow pipeline lag
-                    for _ in 0..TAIL {
-                        pool.stream.push(noise.next_sample());
-                    }
+                    let (frame_lo, frame_hi) = frame_in_noise(&mut pool.stream, &wave, &mut noise);
                     let base = pool.jammer.core_mut().samples_processed();
                     pool.jammer
                         .process_block_into(&pool.stream, &mut pool.scratch);

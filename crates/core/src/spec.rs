@@ -696,7 +696,11 @@ fn preset_from(o: &Obj) -> Result<DetectionPreset, SpecError> {
     let p = obj_field(o, "preset")?;
     let kind = str_field(p, "kind")?;
     let u8_of = |field: &'static str| -> Result<u8, ParseError> {
-        u64_field(p, field).map(|v| v.min(u8::MAX as u64) as u8)
+        let v = u64_field(p, field)?;
+        u8::try_from(v).map_err(|_| ParseError::Field {
+            field: format!("{field} = {v}"),
+            expected: "integer in 0..=255",
+        })
     };
     match kind {
         "wifi_short" => Ok(DetectionPreset::WifiShortPreamble {

@@ -9,6 +9,14 @@
 
 use std::collections::BTreeMap;
 
+/// 2^53: the largest integer below which every integer is exact in `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Deepest array/object nesting [`parse`] accepts. The protocols nest a
+/// handful of levels; the bound keeps hostile input (`[[[[...`) from
+/// recursing the parser off the end of the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -35,10 +43,15 @@ impl Value {
         }
     }
 
-    /// The number as `u64`, if this is a non-negative integral number.
+    /// The number as `u64`, if this is a non-negative integral number no
+    /// larger than 2^53. Beyond 2^53 an `f64` no longer holds every integer,
+    /// so such a number is not an exact count and reads as `None` rather
+    /// than a rounded (or, for `1e300`, saturated) value.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Value::Number(n) if (0.0..=MAX_EXACT_INT).contains(n) && n.fract() == 0.0 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -129,6 +142,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -142,6 +156,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -171,8 +187,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -180,6 +196,20 @@ impl<'a> Parser<'a> {
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, one nesting level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -351,6 +381,27 @@ mod tests {
         assert_eq!(parse(&write_value(&v)).unwrap(), v);
         assert_eq!(write_value(&Value::Array(vec![])), "[]");
         assert_eq!(write_value(&Value::Object(BTreeMap::new())), "{}");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper"));
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn as_u64_stops_at_two_to_the_53() {
+        let n = |v: f64| Value::Number(v).as_u64();
+        assert_eq!(n(9_007_199_254_740_991.0), Some((1 << 53) - 1));
+        assert_eq!(n(9_007_199_254_740_992.0), Some(1 << 53));
+        assert_eq!(n(9_007_199_254_740_994.0), None);
+        assert_eq!(n(1e300), None);
+        assert_eq!(n(f64::INFINITY), None);
+        assert_eq!(n(f64::NAN), None);
+        assert_eq!(n(-1.0), None);
     }
 
     #[test]

@@ -51,29 +51,29 @@ fn parity(x: u8) -> u8 {
 
 /// Encodes `bits` with the rate-1/2 mother code (no tail added here).
 pub fn encode_half(bits: &[u8]) -> Vec<u8> {
-    let mut state: u8 = 0;
-    let mut out = Vec::with_capacity(bits.len() * 2);
-    for &b in bits {
-        let reg = (b << 6) | state;
-        out.push(parity(reg & G0));
-        out.push(parity(reg & G1));
-        state = (reg >> 1) & 0x3F;
-    }
-    out
+    encode(bits, CodeRate::Half)
 }
 
-/// Encodes and punctures to the requested rate.
+/// Encodes and punctures to the requested rate: each input bit's A/B
+/// output pair is kept per the puncture pattern as it is produced.
 pub fn encode(bits: &[u8], rate: CodeRate) -> Vec<u8> {
-    let coded = encode_half(bits);
     let pat = rate.pattern();
-    let mut out = Vec::with_capacity(coded.len());
-    for (i, pair) in coded.chunks(2).enumerate() {
-        let (keep_a, keep_b) = pat[i % pat.len()];
+    let mut out = Vec::with_capacity(bits.len() * 2);
+    let mut state: u8 = 0;
+    let mut p = 0;
+    for &b in bits {
+        let reg = (b << 6) | state;
+        let (keep_a, keep_b) = pat[p];
         if keep_a {
-            out.push(pair[0]);
+            out.push(parity(reg & G0));
         }
         if keep_b {
-            out.push(pair[1]);
+            out.push(parity(reg & G1));
+        }
+        state = (reg >> 1) & 0x3F;
+        p += 1;
+        if p == pat.len() {
+            p = 0;
         }
     }
     out

@@ -40,37 +40,28 @@ impl Modulation {
     }
 }
 
+/// Gray-coded PAM levels of a 1-, 2- and 3-bit axis, indexed by the axis
+/// code `b0 | b1 << 1 | b2 << 2` (Table 18-10 for 64-QAM; for 16-QAM `b0`
+/// selects the sign half and `b1` inner/outer).
+const AXIS_1: [f64; 2] = [-1.0, 1.0];
+const AXIS_2: [f64; 4] = [-3.0, 3.0, -1.0, 1.0];
+const AXIS_3: [f64; 8] = [-7.0, 7.0, -1.0, 1.0, -5.0, 5.0, -3.0, 3.0];
+
+/// The axis code of `bits` (first bit least significant).
+#[inline(always)]
+fn axis_code(bits: &[u8]) -> usize {
+    bits.iter()
+        .rev()
+        .fold(0, |code, &b| code << 1 | usize::from(b != 0))
+}
+
 /// Gray map for one PAM axis: `bits` (LSB-first slice) to odd-integer level.
 fn pam_level(bits: &[u8]) -> f64 {
+    let code = axis_code(bits);
     match bits.len() {
-        1 => {
-            if bits[0] == 0 {
-                -1.0
-            } else {
-                1.0
-            }
-        }
-        2 => {
-            // Standard 16-QAM axis: b0 selects sign half, b1 inner/outer.
-            let base: f64 = if bits[0] == 0 { -1.0 } else { 1.0 };
-            let mag: f64 = if bits[1] == 0 { 3.0 } else { 1.0 };
-            base * mag
-        }
-        3 => {
-            // 64-QAM axis per Table 18-10: (b0,b1,b2) -> {-7..7}.
-            let v = (bits[0], bits[1], bits[2]);
-            match v {
-                (0, 0, 0) => -7.0,
-                (0, 0, 1) => -5.0,
-                (0, 1, 1) => -3.0,
-                (0, 1, 0) => -1.0,
-                (1, 1, 0) => 1.0,
-                (1, 1, 1) => 3.0,
-                (1, 0, 1) => 5.0,
-                (1, 0, 0) => 7.0,
-                _ => unreachable!(),
-            }
-        }
+        1 => AXIS_1[code],
+        2 => AXIS_2[code],
+        3 => AXIS_3[code],
         _ => unreachable!("axis width is 1..=3 bits"),
     }
 }
@@ -102,13 +93,44 @@ fn pam_bits(level: f64, width: usize) -> Vec<u8> {
 /// onto one constellation point.
 pub fn map_bits(bits: &[u8], m: Modulation) -> Cf64 {
     assert_eq!(bits.len(), m.bits_per_symbol(), "wrong bit count for {m:?}");
-    let point = match m {
-        Modulation::Bpsk => Cf64::new(pam_level(&bits[..1]), 0.0),
-        Modulation::Qpsk => Cf64::new(pam_level(&bits[..1]), pam_level(&bits[1..2])),
-        Modulation::Qam16 => Cf64::new(pam_level(&bits[..2]), pam_level(&bits[2..4])),
-        Modulation::Qam64 => Cf64::new(pam_level(&bits[..3]), pam_level(&bits[3..6])),
-    };
-    point.scale(m.k_mod())
+    let mut point = Cf64::ZERO;
+    map_into(bits, m, std::slice::from_mut(&mut point));
+    point
+}
+
+/// Maps a coded-bit stream onto `out`, one constellation point per
+/// `bits_per_symbol` bits, exactly as [`map_bits`] would point by point.
+///
+/// # Panics
+/// Panics unless `bits.len() == out.len() * m.bits_per_symbol()`.
+pub fn map_into(bits: &[u8], m: Modulation, out: &mut [Cf64]) {
+    assert_eq!(
+        bits.len(),
+        out.len() * m.bits_per_symbol(),
+        "one point per {} bits",
+        m.bits_per_symbol()
+    );
+    let k = m.k_mod();
+    match m {
+        Modulation::Bpsk => {
+            for (o, &b) in out.iter_mut().zip(bits) {
+                *o = Cf64::new(AXIS_1[usize::from(b != 0)], 0.0).scale(k);
+            }
+        }
+        Modulation::Qpsk => map_square::<1>(bits, &AXIS_1, k, out),
+        Modulation::Qam16 => map_square::<2>(bits, &AXIS_2, k, out),
+        Modulation::Qam64 => map_square::<3>(bits, &AXIS_3, k, out),
+    }
+}
+
+/// Square QAM with `W` bits per axis: the first `W` bits of each point pick
+/// the I level, the next `W` the Q level.
+#[inline(always)]
+fn map_square<const W: usize>(bits: &[u8], levels: &[f64], k: f64, out: &mut [Cf64]) {
+    for (o, c) in out.iter_mut().zip(bits.chunks_exact(2 * W)) {
+        let (i, q) = c.split_at(W);
+        *o = Cf64::new(levels[axis_code(i)], levels[axis_code(q)]).scale(k);
+    }
 }
 
 /// Hard-demaps one received point back to coded bits.
@@ -171,7 +193,9 @@ pub fn demap_soft_stream(points: &[Cf64], m: Modulation) -> Vec<i32> {
 pub fn map_stream(bits: &[u8], m: Modulation) -> Vec<Cf64> {
     let n = m.bits_per_symbol();
     assert_eq!(bits.len() % n, 0, "bit stream must be a multiple of {n}");
-    bits.chunks(n).map(|c| map_bits(c, m)).collect()
+    let mut out = vec![Cf64::ZERO; bits.len() / n];
+    map_into(bits, m, &mut out);
+    out
 }
 
 /// Demaps a point stream back to coded bits.

@@ -12,19 +12,32 @@ use rjam_sdr::complex::Cf64;
 use rjam_sdr::fft::Fft;
 
 /// Data subcarrier indices in transmission order (-26..26 minus DC/pilots).
-pub fn data_subcarriers() -> [i32; N_SD] {
+pub const fn data_subcarriers() -> [i32; N_SD] {
     let mut out = [0i32; N_SD];
     let mut i = 0;
-    for k in -26..=26 {
-        if k == 0 || k == 7 || k == -7 || k == 21 || k == -21 {
-            continue;
+    let mut k = -26;
+    while k <= 26 {
+        if !(k == 0 || k == 7 || k == -7 || k == 21 || k == -21) {
+            out[i] = k;
+            i += 1;
         }
-        out[i] = k;
-        i += 1;
+        k += 1;
     }
-    debug_assert_eq!(i, N_SD);
+    assert!(i == N_SD);
     out
 }
+
+/// FFT bin of each data subcarrier, in transmission order.
+const DATA_BINS: [usize; N_SD] = {
+    let subs = data_subcarriers();
+    let mut bins = [0usize; N_SD];
+    let mut i = 0;
+    while i < N_SD {
+        bins[i] = (subs[i] + FFT_LEN as i32) as usize % FFT_LEN;
+        i += 1;
+    }
+    bins
+};
 
 /// Pilot subcarrier indices and their base values (before polarity).
 pub const PILOTS: [(i32, f64); 4] = [(-21, 1.0), (-7, 1.0), (7, 1.0), (21, -1.0)];
@@ -33,20 +46,26 @@ pub const PILOTS: [(i32, f64); 4] = [(-21, 1.0), (-7, 1.0), (7, 1.0), (21, -1.0)
 /// mapped constellation points. `symbol_index` selects the pilot polarity
 /// (0 is the SIGNAL symbol).
 pub fn build_symbol(points: &[Cf64], symbol_index: usize, fft: &Fft) -> Vec<Cf64> {
+    let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);
+    build_symbol_into(points, symbol_index, fft, &mut out);
+    out
+}
+
+/// [`build_symbol`] appending the 80 samples to `out` instead of returning
+/// a fresh buffer; the frequency-domain symbol lives on the stack.
+pub fn build_symbol_into(points: &[Cf64], symbol_index: usize, fft: &Fft, out: &mut Vec<Cf64>) {
     assert_eq!(points.len(), N_SD, "48 data points per symbol");
-    let mut freq = vec![Cf64::ZERO; FFT_LEN];
-    for (p, &k) in points.iter().zip(data_subcarriers().iter()) {
-        freq[sub_to_bin(k)] = *p;
+    let mut freq = [Cf64::ZERO; FFT_LEN];
+    for (&p, &bin) in points.iter().zip(&DATA_BINS) {
+        freq[bin] = p;
     }
     let pol = pilot_polarity(symbol_index);
     for (k, v) in PILOTS {
         freq[sub_to_bin(k)] = Cf64::new(v * pol, 0.0);
     }
     fft.inverse(&mut freq);
-    let mut out = Vec::with_capacity(FFT_LEN + CP_LEN);
     out.extend_from_slice(&freq[FFT_LEN - CP_LEN..]);
     out.extend_from_slice(&freq);
-    out
 }
 
 /// Extracted contents of one received OFDM symbol.
@@ -86,10 +105,7 @@ pub fn parse_symbol(
     }
     let phase = acc.arg();
     let derot = Cf64::from_angle(-phase);
-    let data = data_subcarriers()
-        .iter()
-        .map(|&k| freq[sub_to_bin(k)] * derot)
-        .collect();
+    let data = DATA_BINS.iter().map(|&bin| freq[bin] * derot).collect();
     ParsedSymbol {
         data,
         pilot_phase: phase,
@@ -121,6 +137,13 @@ mod tests {
         assert!(!subs.contains(&-21));
         assert_eq!(subs[0], -26);
         assert_eq!(subs[47], 26);
+    }
+
+    #[test]
+    fn data_bins_follow_subcarrier_mapping() {
+        for (&bin, &k) in DATA_BINS.iter().zip(data_subcarriers().iter()) {
+            assert_eq!(bin, sub_to_bin(k));
+        }
     }
 
     #[test]

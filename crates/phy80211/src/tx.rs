@@ -1,15 +1,19 @@
 //! Frame transmission: PSDU to 20 MSPS baseband waveform (clause 18.3.5).
 
 use crate::bits::{bytes_to_bits, Scrambler};
-use crate::convcode::encode;
-use crate::interleave::interleave;
-use crate::modmap::map_stream;
-use crate::ofdm::build_symbol;
+use crate::convcode::{encode, CodeRate};
+use crate::interleave::interleave_position;
+use crate::modmap::{map_into, Modulation};
+use crate::ofdm::build_symbol_into;
 use crate::preamble::plcp_preamble;
 use crate::signal::{signal_bits, Rate};
 use crate::{FFT_LEN, N_SD};
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::fft::Fft;
+use std::sync::OnceLock;
+
+/// Coded bits per OFDM symbol at the densest rate (64-QAM, 48 carriers).
+const MAX_CBPS: usize = 6 * N_SD;
 
 /// A PHY frame to transmit.
 #[derive(Clone, Debug)]
@@ -66,32 +70,64 @@ fn data_bits(frame: &Frame) -> Vec<u8> {
 
 /// Modulates a complete PHY frame into its 20 MSPS baseband waveform:
 /// preamble, SIGNAL symbol and DATA symbols.
+///
+/// Constant work is done once per process (the 64-point FFT plan and the
+/// PLCP preamble) or once per frame (the interleaver permutations); each
+/// symbol is interleaved, mapped and IFFT'd on the stack and appended in
+/// place to a waveform sized up front.
 pub fn modulate_frame(frame: &Frame) -> Vec<Cf64> {
-    let fft = Fft::new(FFT_LEN);
+    static FFT: OnceLock<Fft> = OnceLock::new();
+    static PREAMBLE: OnceLock<Vec<Cf64>> = OnceLock::new();
+    let fft = FFT.get_or_init(|| Fft::new(FFT_LEN));
     let rate = frame.rate;
-    let mut wave = plcp_preamble();
+    let mut wave = Vec::with_capacity(frame.n_samples());
+    wave.extend_from_slice(PREAMBLE.get_or_init(plcp_preamble));
 
     // SIGNAL: BPSK rate-1/2, pilot index 0.
-    let sig_bits = signal_bits(rate, frame.psdu.len());
-    let sig_coded = encode(&sig_bits, crate::convcode::CodeRate::Half);
-    let sig_inter = interleave(&sig_coded, 48, 1);
-    let sig_points = map_stream(&sig_inter, crate::modmap::Modulation::Bpsk);
-    wave.extend(build_symbol(&sig_points, 0, &fft));
+    let sig_coded = encode(&signal_bits(rate, frame.psdu.len()), CodeRate::Half);
+    let sig_perm = permutation(N_SD, 1);
+    append_symbol(&sig_coded, &sig_perm, Modulation::Bpsk, 0, fft, &mut wave);
 
     // DATA symbols: the convolutional encoder runs continuously over the
     // whole DATA field (clause 18.3.5.6); interleaving is per symbol.
     let bits = data_bits(frame);
     let n_cbps = rate.n_cbps();
-    let n_bpsc = rate.modulation().bits_per_symbol();
+    let modulation = rate.modulation();
+    let perm = permutation(n_cbps, modulation.bits_per_symbol());
     let coded = encode(&bits, rate.code_rate());
     debug_assert_eq!(coded.len() % n_cbps, 0);
     for (sym_idx, chunk) in coded.chunks(n_cbps).enumerate() {
-        let inter = interleave(chunk, n_cbps, n_bpsc);
-        let points = map_stream(&inter, rate.modulation());
-        debug_assert_eq!(points.len(), N_SD);
-        wave.extend(build_symbol(&points, sym_idx + 1, &fft));
+        append_symbol(chunk, &perm, modulation, sym_idx + 1, fft, &mut wave);
     }
     wave
+}
+
+/// The interleaver permutation of one symbol: coded bit `k` goes to
+/// position `perm[k]`.
+fn permutation(n_cbps: usize, n_bpsc: usize) -> Vec<usize> {
+    (0..n_cbps)
+        .map(|k| interleave_position(k, n_cbps, n_bpsc))
+        .collect()
+}
+
+/// Interleaves one symbol's coded bits through `perm`, maps them onto the
+/// 48 data carriers and appends the OFDM symbol to `wave`.
+fn append_symbol(
+    coded: &[u8],
+    perm: &[usize],
+    modulation: Modulation,
+    symbol_index: usize,
+    fft: &Fft,
+    wave: &mut Vec<Cf64>,
+) {
+    let mut inter = [0u8; MAX_CBPS];
+    let inter = &mut inter[..coded.len()];
+    for (&b, &pos) in coded.iter().zip(perm) {
+        inter[pos] = b;
+    }
+    let mut points = [Cf64::ZERO; N_SD];
+    map_into(inter, modulation, &mut points);
+    build_symbol_into(&points, symbol_index, fft, wave);
 }
 
 /// Builds a "pseudo-frame" containing only a single short training symbol

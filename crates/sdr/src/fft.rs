@@ -11,12 +11,19 @@ use crate::complex::Cf64;
 ///
 /// The plan precomputes the bit-reversal permutation and twiddle factors, so
 /// repeated transforms (one per OFDM symbol) avoid recomputing trigonometry.
+/// Twiddles are stored per butterfly stage in the order the stage reads
+/// them, once as `e^{-j 2 pi k / n}` for the forward transform and once
+/// conjugated for the inverse; conjugation is exact, so both directions
+/// multiply by the same values a per-butterfly `conj()` would produce.
 #[derive(Clone, Debug)]
 pub struct Fft {
     n: usize,
     rev: Vec<u32>,
-    /// Twiddles for the forward transform: `e^{-j 2 pi k / n}` for `k < n/2`.
+    /// Forward twiddles, stage by stage: the stage of span `len` holds
+    /// `e^{-j 2 pi k / len}` for `k < len/2` (`n - 1` entries in total).
     tw: Vec<Cf64>,
+    /// `tw` conjugated, for the inverse transform.
+    tw_inv: Vec<Cf64>,
 }
 
 impl Fft {
@@ -31,12 +38,19 @@ impl Fft {
         );
         let bits = n.trailing_zeros();
         let rev = (0..n as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits))
+            .map(|i| i.reverse_bits().checked_shr(32 - bits).unwrap_or(0))
             .collect();
-        let tw = (0..n / 2)
+        let base: Vec<Cf64> = (0..n / 2)
             .map(|k| Cf64::from_angle(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
             .collect();
-        Fft { n, rev, tw }
+        let mut tw: Vec<Cf64> = Vec::with_capacity(n - 1);
+        let mut len = 2;
+        while len <= n {
+            tw.extend(base.iter().step_by(n / len).take(len / 2));
+            len <<= 1;
+        }
+        let tw_inv = tw.iter().map(|w| w.conj()).collect();
+        Fft { n, rev, tw, tw_inv }
     }
 
     /// Transform size.
@@ -56,7 +70,7 @@ impl Fft {
     /// # Panics
     /// Panics if `buf.len()` differs from the plan size.
     pub fn forward(&self, buf: &mut [Cf64]) {
-        self.transform(buf, false);
+        self.transform(buf, &self.tw);
     }
 
     /// In-place inverse FFT with `1/n` normalization, so
@@ -65,40 +79,39 @@ impl Fft {
     /// # Panics
     /// Panics if `buf.len()` differs from the plan size.
     pub fn inverse(&self, buf: &mut [Cf64]) {
-        self.transform(buf, true);
+        self.transform(buf, &self.tw_inv);
         let k = 1.0 / self.n as f64;
         for s in buf.iter_mut() {
             *s = s.scale(k);
         }
     }
 
-    fn transform(&self, buf: &mut [Cf64], inverse: bool) {
+    fn transform(&self, buf: &mut [Cf64], twiddles: &[Cf64]) {
         assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
         // Bit-reversal permutation.
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
+        for (i, &j) in self.rev.iter().enumerate() {
+            let j = j as usize;
             if i < j {
                 buf.swap(i, j);
             }
         }
-        // Iterative Cooley-Tukey butterflies.
+        // Iterative Cooley-Tukey butterflies; every butterfly is exactly
+        // `a + b*w`, `a - b*w`.
         let mut len = 2;
+        let mut stage = twiddles;
         while len <= self.n {
             let half = len / 2;
-            let step = self.n / len;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let w = if inverse {
-                        self.tw[k * step].conj()
-                    } else {
-                        self.tw[k * step]
-                    };
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+            let (tw, rest) = stage.split_at(half);
+            for block in buf.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let bw = *b * w;
+                    let av = *a;
+                    *a = av + bw;
+                    *b = av - bw;
                 }
             }
+            stage = rest;
             len <<= 1;
         }
     }
@@ -204,6 +217,29 @@ mod tests {
         let time_e: f64 = x.iter().map(|s| s.norm_sq()).sum();
         let freq_e: f64 = fft(&x).iter().map(|s| s.norm_sq()).sum::<f64>() / n as f64;
         assert!((time_e - freq_e).abs() < 1e-8 * time_e);
+    }
+
+    #[test]
+    fn one_point_plan_is_identity() {
+        let plan = Fft::new(1);
+        let x = [Cf64::new(0.25, -3.0)];
+        let mut y = x;
+        plan.forward(&mut y);
+        assert_eq!(y, x);
+        plan.inverse(&mut y);
+        assert_eq!(y, x);
+    }
+
+    #[test]
+    fn inverse_twiddles_are_exact_conjugates() {
+        let plan = Fft::new(64);
+        assert_eq!(plan.tw.len(), 63);
+        for (w, v) in plan.tw.iter().zip(&plan.tw_inv) {
+            assert_eq!(
+                (w.re.to_bits(), (-w.im).to_bits()),
+                (v.re.to_bits(), v.im.to_bits())
+            );
+        }
     }
 
     #[test]

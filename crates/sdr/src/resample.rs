@@ -14,17 +14,39 @@
 //! * [`resample_linear`] — a light-weight linear interpolator for arbitrary
 //!   irrational-looking ratios such as 11.4->25 MHz, adequate because the
 //!   detector only consumes sign bits and coarse energy.
+//!
+//! A [`Rational`] is a *plan*: the prototype design and the polyphase split
+//! happen once in [`Rational::new`], and [`Rational::process`] only runs the
+//! tap loop. [`to_usrp_rate`] keeps one process-wide 5/4 plan, so the WiFi
+//! emission path never redesigns its filter per frame. Inside `process`,
+//! outputs whose whole window lies inside the input take a branch-free
+//! interior kernel over compile-time-length tap groups; the few head
+//! outputs whose window reaches before the first input sample take the
+//! bounds-checked edge loop. Both sum `input[base - k] * tap[k]` for
+//! `k = 0, 1, ...` from a zero accumulator, so the split changes speed, not
+//! output bits.
 
 use crate::complex::Cf64;
 use crate::fir::lowpass;
+use std::sync::OnceLock;
 
 /// Polyphase rational resampler by a factor `up/down`.
+///
+/// The plan holds one flat, phase-major tap table (`taps_per_phase` taps
+/// per phase, phase `p` holding every `up`-th prototype tap from `p`).
+/// [`Rational::process`] steps the polyphase phase and the newest input
+/// index incrementally (no per-output `%` or `/`); every output whose
+/// window lies wholly inside the input runs the interior kernel, which
+/// walks the window in tap groups of compile-time length, and only the
+/// head outputs whose window starts before the input take the checked edge
+/// loop.
 #[derive(Clone, Debug)]
 pub struct Rational {
     up: usize,
     down: usize,
-    /// Polyphase filter bank: `phases[p]` holds every `up`-th prototype tap.
-    phases: Vec<Vec<f64>>,
+    /// Phase-major polyphase bank: tap `k` of phase `p` is
+    /// `taps[p * taps_per_phase + k]`.
+    taps: Vec<f64>,
     taps_per_phase: usize,
 }
 
@@ -44,18 +66,15 @@ impl Rational {
         let cutoff = 0.5 / up.max(down) as f64 * 0.9;
         // Design at the upsampled rate: normalized cutoff = cutoff (cycles per
         // upsampled sample), then scale gain by `up` to preserve amplitude.
-        let mut proto = lowpass(proto_len, cutoff.min(0.499));
-        for t in proto.iter_mut() {
-            *t *= up as f64;
-        }
-        let mut phases = vec![Vec::with_capacity(taps_per_phase); up];
-        for (i, &t) in proto.iter().enumerate() {
-            phases[i % up].push(t);
-        }
+        let proto = lowpass(proto_len, cutoff.min(0.499));
+        let taps = (0..up)
+            .flat_map(|p| proto.iter().skip(p).step_by(up))
+            .map(|&t| t * up as f64)
+            .collect();
         Rational {
             up,
             down,
-            phases,
+            taps,
             taps_per_phase,
         }
     }
@@ -73,27 +92,105 @@ impl Rational {
     /// Resamples a whole buffer. Output length is approximately
     /// `input.len() * up / down`.
     pub fn process(&self, input: &[Cf64]) -> Vec<Cf64> {
+        // The largest group length that tiles a phase: a 12-tap plan runs
+        // its whole window as one unrolled group.
+        match self.taps_per_phase {
+            l if l % 16 == 0 => self.process_grouped::<16>(input),
+            l if l % 12 == 0 => self.process_grouped::<12>(input),
+            l if l % 8 == 0 => self.process_grouped::<8>(input),
+            l if l % 4 == 0 => self.process_grouped::<4>(input),
+            l if l % 2 == 0 => self.process_grouped::<2>(input),
+            _ => self.process_grouped::<1>(input),
+        }
+    }
+
+    /// [`Rational::process`] with the interior window walked in groups of
+    /// `G` taps (`G` divides `taps_per_phase`).
+    fn process_grouped<const G: usize>(&self, input: &[Cf64]) -> Vec<Cf64> {
+        let l = self.taps_per_phase;
         let out_len = input.len() * self.up / self.down;
-        let mut out = Vec::with_capacity(out_len);
-        // Conceptual upsampled stream index: t = n*down for output n.
-        for n in 0..out_len {
-            let t = n * self.down;
-            let phase = t % self.up;
-            let base = t / self.up; // index of newest input sample involved
-            let taps = &self.phases[phase];
-            let mut acc = Cf64::ZERO;
-            for (k, &tap) in taps.iter().enumerate().take(self.taps_per_phase) {
-                // Tap k corresponds to input sample base - k (causal history).
-                if let Some(idx) = base.checked_sub(k) {
-                    if idx < input.len() {
-                        acc += input[idx].scale(tap);
-                    }
-                }
-            }
-            out.push(acc);
+        let mut out = vec![Cf64::ZERO; out_len];
+        // Output n's newest input sample is n*down/up, which is below
+        // input.len() for every output, so only the head outputs (newest
+        // sample before l - 1) have a window reaching outside the input.
+        let head = ((l - 1) * self.up).div_ceil(self.down).min(out_len);
+        let (head_out, body_out) = out.split_at_mut(head);
+        let mut positions = self.positions();
+        for (o, (phase, base)) in head_out.iter_mut().zip(positions.by_ref()) {
+            *o = edge_dot(input, self.phase_taps(phase), base);
+        }
+        for (o, (phase, base)) in body_out.iter_mut().zip(positions) {
+            *o = window_dot::<G>(&input[base + 1 - l..=base], self.phase_taps(phase));
         }
         out
     }
+
+    /// The taps of polyphase branch `phase`.
+    #[inline(always)]
+    fn phase_taps(&self, phase: usize) -> &[f64] {
+        let l = self.taps_per_phase;
+        &self.taps[phase * l..(phase + 1) * l]
+    }
+
+    /// `(phase, newest input index)` of outputs 0, 1, 2, ...: output n sits
+    /// at upsampled index t = n*down, i.e. phase t % up and input t / up,
+    /// and both advance by a constant per output.
+    fn positions(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (up, base_step, phase_step) = (self.up, self.down / self.up, self.down % self.up);
+        std::iter::successors(Some((0, 0)), move |&(phase, base)| {
+            let (phase, base) = (phase + phase_step, base + base_step);
+            Some(if phase >= up {
+                (phase - up, base + 1)
+            } else {
+                (phase, base)
+            })
+        })
+    }
+
+    /// The plain per-output `%`/`/` polyphase loop the fast path must
+    /// reproduce bit for bit.
+    #[cfg(test)]
+    fn process_reference(&self, input: &[Cf64]) -> Vec<Cf64> {
+        let out_len = input.len() * self.up / self.down;
+        let mut out = Vec::with_capacity(out_len);
+        for n in 0..out_len {
+            let t = n * self.down;
+            let phase = t % self.up;
+            let base = t / self.up;
+            out.push(edge_dot(input, self.phase_taps(phase), base));
+        }
+        out
+    }
+}
+
+/// `sum_k window[len-1-k] * taps[k]` for k = 0, 1, ... in order, from a
+/// zero accumulator, over tap groups of compile-time length `G`. `window`
+/// ends at the newest input sample, so `window[len-1-k]` is `input[base-k]`.
+#[inline(always)]
+fn window_dot<const G: usize>(window: &[Cf64], taps: &[f64]) -> Cf64 {
+    let mut acc = Cf64::ZERO;
+    for (w, t) in window.rchunks_exact(G).zip(taps.chunks_exact(G)) {
+        let w: &[Cf64; G] = w.try_into().expect("group length");
+        let t: &[f64; G] = t.try_into().expect("group length");
+        for k in 0..G {
+            acc += w[G - 1 - k].scale(t[k]);
+        }
+    }
+    acc
+}
+
+/// The checked tap loop for outputs whose window reaches outside `input`:
+/// tap `k` weighs `input[base - k]` when that sample exists.
+fn edge_dot(input: &[Cf64], taps: &[f64], base: usize) -> Cf64 {
+    let mut acc = Cf64::ZERO;
+    for (k, &tap) in taps.iter().enumerate() {
+        if let Some(idx) = base.checked_sub(k) {
+            if idx < input.len() {
+                acc += input[idx].scale(tap);
+            }
+        }
+    }
+    acc
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -158,8 +255,15 @@ pub fn to_usrp_rate(input: &[Cf64], from_rate: f64) -> Vec<Cf64> {
     for denom in 1..=32usize {
         let num = to_rate / from_rate * denom as f64;
         if (num - num.round()).abs() < 1e-9 && num.round() >= 1.0 {
-            let r = Rational::new(num.round() as usize, denom, 12);
-            return r.process(input);
+            let up = num.round() as usize;
+            if (up, denom) == (5, 4) {
+                // The 802.11 20 -> 25 MSPS plan, designed once per process.
+                static WIFI_PLAN: OnceLock<Rational> = OnceLock::new();
+                return WIFI_PLAN
+                    .get_or_init(|| Rational::new(5, 4, 12))
+                    .process(input);
+            }
+            return Rational::new(up, denom, 12).process(input);
         }
     }
     resample_linear(input, from_rate, to_rate)
@@ -192,6 +296,44 @@ mod tests {
             peak as f64
         };
         k * rate / n as f64
+    }
+
+    fn bits(buf: &[Cf64]) -> Vec<(u64, u64)> {
+        buf.iter()
+            .map(|s| (s.re.to_bits(), s.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn process_matches_reference_loop_bitwise() {
+        let mut rng = crate::rng::Rng::seed_from(77);
+        let mut input: Vec<Cf64> = (0..300)
+            .map(|_| Cf64::new(rng.gaussian(), rng.gaussian()))
+            .collect();
+        // Exact zeros of both signs exercise signed-zero accumulation.
+        input[5] = Cf64::new(-0.0, 0.0);
+        input[6] = Cf64::new(0.0, -0.0);
+        for (up, down) in [(5, 4), (4, 5), (3, 2), (25, 11), (1, 1), (1, 3), (7, 1)] {
+            for taps in [1, 2, 3, 4, 5, 7, 8, 10, 12, 16, 20, 24, 32] {
+                let r = Rational::new(up, down, taps);
+                for len in (0..=40).chain([299, 300]) {
+                    assert_eq!(
+                        bits(&r.process(&input[..len])),
+                        bits(&r.process_reference(&input[..len])),
+                        "{up}/{down} taps {taps} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn to_usrp_rate_reuses_the_wifi_plan_bitwise() {
+        let input = tone(1.0e6, 20.0e6, 700);
+        assert_eq!(
+            bits(&to_usrp_rate(&input, 20.0e6)),
+            bits(&Rational::new(5, 4, 12).process_reference(&input))
+        );
     }
 
     #[test]
