@@ -24,6 +24,13 @@ cargo build --workspace --release --offline
 step "tests (unit + integration + property)"
 cargo test -q --workspace --offline
 
+step "libm-variant determinism (tier-1 root suite on glibc's non-FMA log/sin/cos)"
+# glibc picks FMA or non-FMA log/sin/cos per CPU, and their last bits
+# differ. No pinned digest may depend on that choice. The tunable names
+# are glibc >= 2.33's; other C libraries ignore the variable, so there
+# the step is a plain re-run.
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4 cargo test -q --offline
+
 step "bench smoke run (reduced samples, JSON to the workspace root)"
 # cargo runs bench binaries with cwd = the package dir, so pin the output
 # directory explicitly.

@@ -2,9 +2,12 @@
 //! the Viterbi decoder, the 64-point FFT and the 20->25 MSPS resampler —
 //! the hot paths of every detection sweep. `modulate_60B/R12` and
 //! `to_usrp_rate/60B_R12` are the exact per-frame emission shapes of the
-//! WiFi detection sweep (60-byte PSDU at 12 Mb/s).
+//! WiFi detection sweep (60-byte PSDU at 12 Mb/s). `noise_fill/64k` and
+//! `noise_next_sample/64k` are receiver noise at the false-alarm floor,
+//! through the block path and through the per-sample read-ahead pop.
 
 use rjam_bench::harness::Harness;
+use rjam_channel::noise::NoiseSource;
 use rjam_phy80211::convcode::{decode, encode, CodeRate};
 use rjam_phy80211::{decode_frame, modulate_frame, Frame, Rate};
 use rjam_sdr::complex::Cf64;
@@ -85,6 +88,21 @@ fn main() {
     let native = modulate_frame(&frame);
     h.bench("to_usrp_rate", "60B_R12", || {
         black_box(to_usrp_rate(black_box(&native), rjam_sdr::WIFI_SAMPLE_RATE))
+    });
+
+    // Receiver noise at the false-alarm floor (20 dB below the 0.02
+    // receive level), 64 k samples per call.
+    let mut noise = NoiseSource::new(2e-4, Rng::seed_from(16));
+    let mut block = vec![Cf64::ZERO; 1 << 16];
+    h.bench_throughput("noise_fill", "64k", block.len() as u64, || {
+        noise.fill(&mut block);
+        black_box(block[0])
+    });
+    h.bench_throughput("noise_next_sample", "64k", block.len() as u64, || {
+        for s in block.iter_mut() {
+            *s = noise.next_sample();
+        }
+        black_box(block[0])
     });
 
     h.finish();

@@ -4,10 +4,20 @@
 //! each receiver. Noise power is expressed relative to digital full scale
 //! (dBFS), matching how the paper reports SNR "at RX" after the fixed-gain
 //! front end.
+//!
+//! A [`NoiseSource`] reads ahead: it draws Gaussian pairs 64 at a time
+//! through [`Rng::fill_gaussian_pairs`] into a private buffer and serves
+//! [`NoiseSource::next_sample`] from it. The generator is private and the
+//! buffer is always drained before the generator is drawn again, so the
+//! sample stream is the same however `next_sample`, `fill`, `corrupt` and
+//! `block` calls interleave; reading ahead cannot be observed.
 
 use rjam_sdr::complex::Cf64;
 use rjam_sdr::power::db_to_lin;
 use rjam_sdr::rng::Rng;
+
+/// Gaussian pairs a [`NoiseSource`] draws per read-ahead refill.
+const READ_AHEAD: usize = 64;
 
 /// A complex AWGN generator with configurable mean power.
 #[derive(Clone, Debug)]
@@ -16,6 +26,9 @@ pub struct NoiseSource {
     /// Per-component standard deviation such that E[|n|^2] = power.
     sigma: f64,
     power: f64,
+    /// Unit-variance pairs drawn ahead; `ahead[next..]` are still unserved.
+    ahead: [(f64, f64); READ_AHEAD],
+    next: usize,
 }
 
 impl NoiseSource {
@@ -30,6 +43,8 @@ impl NoiseSource {
             rng,
             sigma: (power / 2.0).sqrt(),
             power,
+            ahead: [(0.0, 0.0); READ_AHEAD],
+            next: READ_AHEAD,
         }
     }
 
@@ -51,15 +66,37 @@ impl NoiseSource {
     /// (`clippy::should_implement_trait`).
     #[inline]
     pub fn next_sample(&mut self) -> Cf64 {
-        let (re, im) = self.rng.gaussian_pair();
+        if self.next == READ_AHEAD {
+            self.rng.fill_gaussian_pairs(&mut self.ahead);
+            self.next = 0;
+        }
+        let pair = self.ahead[self.next];
+        self.next += 1;
+        self.scaled(pair)
+    }
+
+    #[inline]
+    fn scaled(&self, (re, im): (f64, f64)) -> Cf64 {
         Cf64::new(re * self.sigma, im * self.sigma)
     }
 
     /// Overwrites `out` with noise, exactly as `out.len()` calls of
-    /// [`NoiseSource::next_sample`] would.
+    /// [`NoiseSource::next_sample`] would: the read-ahead first, then
+    /// fresh blocks straight from the generator.
     pub fn fill(&mut self, out: &mut [Cf64]) {
-        for s in out {
-            *s = self.next_sample();
+        let buffered = (READ_AHEAD - self.next).min(out.len());
+        let (head, rest) = out.split_at_mut(buffered);
+        for (s, &pair) in head.iter_mut().zip(&self.ahead[self.next..]) {
+            *s = self.scaled(pair);
+        }
+        self.next += buffered;
+        let mut pairs = [(0.0, 0.0); READ_AHEAD];
+        for chunk in rest.chunks_mut(READ_AHEAD) {
+            let pairs = &mut pairs[..chunk.len()];
+            self.rng.fill_gaussian_pairs(pairs);
+            for (s, &pair) in chunk.iter_mut().zip(pairs.iter()) {
+                *s = self.scaled(pair);
+            }
         }
     }
 
@@ -72,8 +109,13 @@ impl NoiseSource {
 
     /// Adds noise to a waveform in place.
     pub fn corrupt(&mut self, buf: &mut [Cf64]) {
-        for s in buf.iter_mut() {
-            *s += self.next_sample();
+        let mut noise = [Cf64::ZERO; READ_AHEAD];
+        for chunk in buf.chunks_mut(READ_AHEAD) {
+            let noise = &mut noise[..chunk.len()];
+            self.fill(noise);
+            for (s, &n) in chunk.iter_mut().zip(noise.iter()) {
+                *s += n;
+            }
         }
     }
 }

@@ -96,7 +96,8 @@ fn frame_in_noise(stream: &mut Vec<Cf64>, wave: &[Cf64], noise: &mut NoiseSource
     stream.clear();
     stream.resize(LEAD_IN, Cf64::ZERO);
     noise.fill(stream);
-    stream.extend(wave.iter().map(|&s| s + noise.next_sample()));
+    stream.extend_from_slice(wave);
+    noise.corrupt(&mut stream[LEAD_IN..]);
     let tail = stream.len();
     stream.resize(tail + TAIL, Cf64::ZERO);
     noise.fill(&mut stream[tail..]);
@@ -1065,9 +1066,7 @@ impl WimaxDetectionSpec {
                     for s in wave.iter_mut() {
                         *s = s.scale(k_scale);
                     }
-                    for s in wave.iter_mut() {
-                        *s += noise.next_sample();
-                    }
+                    noise.corrupt(&mut wave);
                     let base = pool.jammer.core_mut().samples_processed();
                     pool.jammer.process_block_into(&wave, &mut pool.scratch);
                     scope.capture(&wave);

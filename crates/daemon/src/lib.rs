@@ -12,6 +12,9 @@
 //! * [`proto`] — the `rjam-job-v1` wire protocol: typed
 //!   [`proto::JobRequest`]/[`proto::JobResponse`] messages on the shared
 //!   [`rjam_obs::proto`] envelope, with typed [`proto::JobError`] refusals;
+//! * [`conn`] — [`conn::serve_connection`], the per-client line loop
+//!   behind `rjamd --stdio` and each socket client, with its
+//!   [`conn::MAX_LINE`] bound;
 //! * [`service`] — the [`service::Daemon`]: bounded FIFO queue
 //!   (`daemon.queue_depth` gauge), single runner thread, per-job replay
 //!   buffers for late watchers, cooperative unit-granular cancellation.
@@ -21,8 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod conn;
 pub mod proto;
 pub mod service;
 
+pub use conn::{serve_connection, MAX_LINE};
 pub use proto::{JobError, JobErrorKind, JobRequest, JobResponse, JobState, JobStatus};
 pub use service::{Daemon, Serve, DEFAULT_QUEUE_CAP};
